@@ -122,9 +122,9 @@ func (c *Ctx) transferSpans(name string, old partition.Layout, newBounds []int) 
 		if a >= b {
 			continue
 		}
-		blk, err := c.fields.packSpan(name, a, b)
+		frame, err := c.fields.packSpanWire(name, a, b)
 		c.must(err)
-		c.must(c.comm.Send(s, rebalanceTag, mp.EncodeF64s(blk)))
+		c.must(c.comm.Send(s, rebalanceTag, frame))
 	}
 	nlo, nhi := newBounds[me], newBounds[me+1]
 	for s := 0; s < parts; s++ {
@@ -138,7 +138,7 @@ func (c *Ctx) transferSpans(name string, old partition.Layout, newBounds []int) 
 		}
 		frame, err := c.comm.Recv(s, rebalanceTag)
 		c.must(err)
-		c.must(c.fields.unpackSpan(name, a, b, mp.DecodeF64s(frame)))
+		c.must(c.fields.unpackSpanWire(name, a, b, frame))
 	}
 }
 

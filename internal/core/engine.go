@@ -125,12 +125,13 @@ type AdaptTarget struct {
 	Procs int
 	// Mode, when non-zero and different from the current mode, requests an
 	// in-process cross-mode migration at the safe point: the engine takes a
-	// canonical snapshot into an internal in-memory store, tears down the
-	// current executor, constructs the target-mode executor inside the same
-	// Run/RunContext call, and replays to the same safe point — the paper's
-	// adaptation-by-restart (Figures 6 and 7) without the restart. Threads
-	// and Procs then size the new executor (0 = inherit the current sizes).
-	// A Mode equal to the current mode is a plain in-place reshaping.
+	// canonical snapshot and hands a private copy of it over in memory
+	// (never through a store), tears down the current executor, constructs
+	// the target-mode executor inside the same Run/RunContext call, and
+	// replays to the same safe point — the paper's adaptation-by-restart
+	// (Figures 6 and 7) without the restart. Threads and Procs then size
+	// the new executor (0 = inherit the current sizes). A Mode equal to the
+	// current mode is a plain in-place reshaping.
 	Mode Mode
 	// Stop requests a canonical checkpoint followed by a stop of the run —
 	// the paper's adaptation-by-restart: the caller relaunches a
@@ -435,6 +436,7 @@ type Engine struct {
 	sw      *shardWriter  // background shard pool (AsyncCheckpoint + ShardCheckpoints)
 
 	resumeSnap   *serial.Snapshot   // replay source: crash restart or migration
+	resumeOwned  bool               // resumeSnap is a migration's private copy, recycled after the restore
 	shardResume  bool               // restart from per-rank shards instead
 	shardSnaps   []*serial.Snapshot // manifest-gated materialised shard states
 	replayTarget uint64
@@ -626,9 +628,7 @@ func (e *Engine) RunContext(ctx context.Context) error {
 		if err != nil || mig == nil {
 			break
 		}
-		if err = e.applyMigration(mig); err != nil {
-			break
-		}
+		e.applyMigration(mig)
 	}
 	// Drain the asynchronous checkpoint writer before deciding the run's
 	// outcome: the last capture must persist even when the run failed (it

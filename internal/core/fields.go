@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -364,143 +366,225 @@ func (b *boundFields) length(name string) (int, error) {
 	return 0, fmt.Errorf("core: field %q is scalar and cannot be partitioned", name)
 }
 
-// packOwned flattens the indices of a partitioned field owned by part p
-// into a float64 vector (matrices flatten row-major).
-func (b *boundFields) packOwned(name string, l partition.Layout, p int) ([]float64, error) {
-	a := b.acc[name]
-	switch a.kind {
-	case kindFloat64s:
-		v := *a.fs
-		out := make([]float64, 0, l.Count(p))
-		l.Indices(p, func(i int) { out = append(out, v[i]) })
-		return out, nil
-	case kindInts:
-		v := *a.is
-		out := make([]float64, 0, l.Count(p))
-		l.Indices(p, func(i int) { out = append(out, float64(v[i])) })
-		return out, nil
-	case kindMatrix:
-		v := *a.f2
-		cols := 0
-		if len(v) > 0 {
-			cols = len(v[0])
-		}
-		out := make([]float64, 0, l.Count(p)*cols)
-		l.Indices(p, func(i int) { out = append(out, v[i]...) })
-		return out, nil
-	}
-	return nil, fmt.Errorf("core: field %q cannot be packed", name)
-}
-
-// unpackOwned writes a packed vector back into the indices owned by part p.
-func (b *boundFields) unpackOwned(name string, l partition.Layout, p int, data []float64) error {
-	a := b.acc[name]
-	switch a.kind {
-	case kindFloat64s:
-		v := *a.fs
-		k := 0
-		l.Indices(p, func(i int) { v[i] = data[k]; k++ })
-		return nil
-	case kindInts:
-		v := *a.is
-		k := 0
-		l.Indices(p, func(i int) { v[i] = int(data[k]); k++ })
-		return nil
-	case kindMatrix:
-		v := *a.f2
-		cols := 0
-		if len(v) > 0 {
-			cols = len(v[0])
-		}
-		k := 0
-		l.Indices(p, func(i int) {
-			copy(v[i], data[k:k+cols])
-			k += cols
-		})
-		return nil
-	}
-	return fmt.Errorf("core: field %q cannot be unpacked", name)
-}
-
-// packSpan flattens the contiguous index range [lo, hi) of a partitioned
-// field into a float64 vector (matrices flatten row-major) — the transfer
-// unit of the Task-mode cross-rank rebalancer, which moves spans between the
-// old and new Block boundaries.
-func (b *boundFields) packSpan(name string, lo, hi int) ([]float64, error) {
+// flatAccessor returns the accessor of a partitionable field: one whose
+// indices flatten to float64 values (matrices row-major).
+func (b *boundFields) flatAccessor(name string) (*fieldAccessor, error) {
 	a := b.acc[name]
 	if a == nil {
 		return nil, fmt.Errorf("core: field %q not bound", name)
 	}
 	switch a.kind {
-	case kindFloat64s:
-		return append([]float64(nil), (*a.fs)[lo:hi]...), nil
-	case kindInts:
-		v := *a.is
-		out := make([]float64, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, float64(v[i]))
-		}
-		return out, nil
-	case kindMatrix:
-		v := *a.f2
-		cols := 0
-		if len(v) > 0 {
-			cols = len(v[0])
-		}
-		out := make([]float64, 0, (hi-lo)*cols)
-		for i := lo; i < hi; i++ {
-			out = append(out, v[i]...)
-		}
-		return out, nil
+	case kindFloat64s, kindInts, kindMatrix:
+		return a, nil
 	}
-	return nil, fmt.Errorf("core: field %q cannot be packed", name)
+	return nil, fmt.Errorf("core: field %q is scalar and cannot be packed", name)
 }
 
-// unpackSpan writes a packed vector back into the contiguous index range
-// [lo, hi) of a partitioned field.
-func (b *boundFields) unpackSpan(name string, lo, hi int, data []float64) error {
-	a := b.acc[name]
-	if a == nil {
-		return fmt.Errorf("core: field %q not bound", name)
+// width is how many float64 values one index of a partitionable field
+// flattens to: the row length of a (rectangular) matrix, else 1.
+func (a *fieldAccessor) width() int {
+	if a.kind != kindMatrix {
+		return 1
 	}
+	if m := *a.f2; len(m) > 0 {
+		return len(m[0])
+	}
+	return 0
+}
+
+// appendRange appends the flattened values of indices [lo, hi) to out.
+func (a *fieldAccessor) appendRange(out []float64, lo, hi int) []float64 {
 	switch a.kind {
 	case kindFloat64s:
-		copy((*a.fs)[lo:hi], data)
-		return nil
+		out = append(out, (*a.fs)[lo:hi]...)
 	case kindInts:
-		v := *a.is
-		for i := lo; i < hi; i++ {
-			v[i] = int(data[i-lo])
+		for _, x := range (*a.is)[lo:hi] {
+			out = append(out, float64(x))
 		}
-		return nil
 	case kindMatrix:
-		v := *a.f2
-		cols := 0
-		if len(v) > 0 {
-			cols = len(v[0])
+		for _, row := range (*a.f2)[lo:hi] {
+			out = append(out, row...)
 		}
-		k := 0
-		for i := lo; i < hi; i++ {
-			copy(v[i], data[k:k+cols])
-			k += cols
-		}
-		return nil
 	}
-	return fmt.Errorf("core: field %q cannot be unpacked", name)
+	return out
+}
+
+// storeRange writes flattened values from the front of data into indices
+// [lo, hi) and returns the unconsumed rest of data.
+func (a *fieldAccessor) storeRange(data []float64, lo, hi int) []float64 {
+	switch a.kind {
+	case kindFloat64s:
+		data = data[copy((*a.fs)[lo:hi], data):]
+	case kindInts:
+		v := (*a.is)[lo:hi]
+		for i, x := range data[:len(v)] {
+			v[i] = int(x)
+		}
+		data = data[len(v):]
+	case kindMatrix:
+		for _, row := range (*a.f2)[lo:hi] {
+			data = data[copy(row, data):]
+		}
+	}
+	return data
+}
+
+// encodeRange writes the flattened values of indices [lo, hi) into out at
+// byte offset k, little-endian as mp.EncodeF64s does, and returns the
+// offset past them.
+func (a *fieldAccessor) encodeRange(out []byte, k, lo, hi int) int {
+	switch a.kind {
+	case kindFloat64s:
+		k = encodeF64sAt(out, k, (*a.fs)[lo:hi])
+	case kindInts:
+		for _, x := range (*a.is)[lo:hi] {
+			binary.LittleEndian.PutUint64(out[k:], math.Float64bits(float64(x)))
+			k += 8
+		}
+	case kindMatrix:
+		for _, row := range (*a.f2)[lo:hi] {
+			k = encodeF64sAt(out, k, row)
+		}
+	}
+	return k
+}
+
+// decodeRange is the inverse of encodeRange: it fills indices [lo, hi)
+// from frame at byte offset k and returns the offset past them.
+func (a *fieldAccessor) decodeRange(frame []byte, k, lo, hi int) int {
+	switch a.kind {
+	case kindFloat64s:
+		k = decodeF64sAt((*a.fs)[lo:hi], frame, k)
+	case kindInts:
+		v := (*a.is)[lo:hi]
+		for i := range v {
+			v[i] = int(math.Float64frombits(binary.LittleEndian.Uint64(frame[k:])))
+			k += 8
+		}
+	case kindMatrix:
+		for _, row := range (*a.f2)[lo:hi] {
+			k = decodeF64sAt(row, frame, k)
+		}
+	}
+	return k
+}
+
+func encodeF64sAt(out []byte, k int, v []float64) int {
+	for _, f := range v {
+		binary.LittleEndian.PutUint64(out[k:], math.Float64bits(f))
+		k += 8
+	}
+	return k
+}
+
+func decodeF64sAt(dst []float64, frame []byte, k int) int {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(frame[k:]))
+		k += 8
+	}
+	return k
+}
+
+// packOwned flattens the indices of a partitioned field owned by part p
+// into a float64 vector (the payload of a shard snapshot).
+func (b *boundFields) packOwned(name string, l partition.Layout, p int) ([]float64, error) {
+	a, err := b.flatAccessor(name)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, 0, l.Count(p)*a.width())
+	l.LocalSpan(p, 0, l.N, func(lo, hi int) { out = a.appendRange(out, lo, hi) })
+	return out, nil
+}
+
+// unpackOwned writes a packed vector back into the indices owned by part p.
+func (b *boundFields) unpackOwned(name string, l partition.Layout, p int, data []float64) error {
+	a, err := b.flatAccessor(name)
+	if err != nil {
+		return err
+	}
+	if want := l.Count(p) * a.width(); len(data) != want {
+		return fmt.Errorf("core: field %q: part %d block has %d values, want %d", name, p, len(data), want)
+	}
+	l.LocalSpan(p, 0, l.N, func(lo, hi int) { data = a.storeRange(data, lo, hi) })
+	return nil
+}
+
+// packOwnedWire encodes the indices of a partitioned field owned by part p
+// straight into a wire frame: exactly the bytes of mp.EncodeF64s over
+// packOwned's vector, without materialising that vector. Gather and
+// scatter move multi-megabyte blocks, and every intermediate copy of them
+// is memory traffic on the blocking path.
+func (b *boundFields) packOwnedWire(name string, l partition.Layout, p int) ([]byte, error) {
+	a, err := b.flatAccessor(name)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 8*l.Count(p)*a.width())
+	k := 0
+	l.LocalSpan(p, 0, l.N, func(lo, hi int) { k = a.encodeRange(out, k, lo, hi) })
+	return out, nil
+}
+
+// unpackOwnedWire decodes a frame produced by packOwnedWire for part p
+// straight into the indices that part owns.
+func (b *boundFields) unpackOwnedWire(name string, l partition.Layout, p int, frame []byte) error {
+	a, err := b.flatAccessor(name)
+	if err != nil {
+		return err
+	}
+	if want := 8 * l.Count(p) * a.width(); len(frame) != want {
+		return fmt.Errorf("core: field %q: part %d frame has %d bytes, want %d", name, p, len(frame), want)
+	}
+	k := 0
+	l.LocalSpan(p, 0, l.N, func(lo, hi int) { k = a.decodeRange(frame, k, lo, hi) })
+	return nil
+}
+
+// packSpanWire encodes the contiguous index range [lo, hi) of a
+// partitioned field into a wire frame — the transfer unit of the Task-mode
+// cross-rank rebalancer, which moves spans between the old and new Block
+// boundaries.
+func (b *boundFields) packSpanWire(name string, lo, hi int) ([]byte, error) {
+	a, err := b.flatAccessor(name)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 8*(hi-lo)*a.width())
+	a.encodeRange(out, 0, lo, hi)
+	return out, nil
+}
+
+// unpackSpanWire decodes a frame produced by packSpanWire into the index
+// range [lo, hi).
+func (b *boundFields) unpackSpanWire(name string, lo, hi int, frame []byte) error {
+	a, err := b.flatAccessor(name)
+	if err != nil {
+		return err
+	}
+	if want := 8 * (hi - lo) * a.width(); len(frame) != want {
+		return fmt.Errorf("core: field %q: span [%d,%d) frame has %d bytes, want %d", name, lo, hi, len(frame), want)
+	}
+	a.decodeRange(frame, 0, lo, hi)
+	return nil
 }
 
 // gatherAt collects the owned blocks of a partitioned field at root,
-// leaving root's copy of the field fully populated.
+// leaving root's copy of the field fully populated. Each block is encoded
+// from, and decoded into, the field's own storage; root's block never
+// leaves it.
 func (b *boundFields) gatherAt(name string, c *mp.Comm, root, parts int) error {
 	l, err := b.layoutFor(name, parts)
 	if err != nil {
 		return err
 	}
-	mine, err := b.packOwned(name, l, c.Rank())
-	if err != nil {
-		return err
+	var mine []byte
+	if c.Rank() != root {
+		if mine, err = b.packOwnedWire(name, l, c.Rank()); err != nil {
+			return err
+		}
 	}
-	got, err := c.Gather(root, mp.EncodeF64s(mine))
+	got, err := c.Gather(root, mine)
 	if err != nil {
 		return fmt.Errorf("core: gathering field %q: %w", name, err)
 	}
@@ -511,7 +595,7 @@ func (b *boundFields) gatherAt(name string, c *mp.Comm, root, parts int) error {
 		if r == root {
 			continue // root's block is already in place
 		}
-		if err := b.unpackOwned(name, l, r, mp.DecodeF64s(got[r])); err != nil {
+		if err := b.unpackOwnedWire(name, l, r, got[r]); err != nil {
 			return err
 		}
 	}
@@ -519,7 +603,7 @@ func (b *boundFields) gatherAt(name string, c *mp.Comm, root, parts int) error {
 }
 
 // scatterFrom distributes root's full copy of a partitioned field: every
-// rank receives (only) its owned block.
+// rank receives (only) its owned block, decoded straight into its field.
 func (b *boundFields) scatterFrom(name string, c *mp.Comm, root, parts int) error {
 	l, err := b.layoutFor(name, parts)
 	if err != nil {
@@ -529,11 +613,12 @@ func (b *boundFields) scatterFrom(name string, c *mp.Comm, root, parts int) erro
 	if c.Rank() == root {
 		frames = make([][]byte, parts)
 		for r := 0; r < parts; r++ {
-			blk, err := b.packOwned(name, l, r)
-			if err != nil {
+			if r == root {
+				continue // root's block never leaves
+			}
+			if frames[r], err = b.packOwnedWire(name, l, r); err != nil {
 				return err
 			}
-			frames[r] = mp.EncodeF64s(blk)
 		}
 	}
 	mine, err := c.Scatter(root, frames)
@@ -541,9 +626,9 @@ func (b *boundFields) scatterFrom(name string, c *mp.Comm, root, parts int) erro
 		return fmt.Errorf("core: scattering field %q: %w", name, err)
 	}
 	if c.Rank() == root {
-		return nil // root's block never left
+		return nil
 	}
-	return b.unpackOwned(name, l, c.Rank(), mp.DecodeF64s(mine))
+	return b.unpackOwnedWire(name, l, c.Rank(), mine)
 }
 
 // bcastField broadcasts root's full copy of a (typically replicated) field.

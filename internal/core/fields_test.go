@@ -242,6 +242,163 @@ func TestGatherScatterOverComm(t *testing.T) {
 	}
 }
 
+// The single-pass wire codecs (owned blocks for gather/scatter, spans for
+// the rebalancer) must produce exactly the bytes of the pack-then-encode
+// path — the wire format is unchanged — for every field kind and layout,
+// and the decoder must invert them.
+func TestPackOwnedWireMatchesEncodedPack(t *testing.T) {
+	const n, cols = 11, 3
+	fill := func(app *fieldApp, seed float64) {
+		app.Vec = make([]float64, n)
+		app.Ints = make([]int, n)
+		app.Grid = make([][]float64, n)
+		for i := 0; i < n; i++ {
+			app.Vec[i] = seed + float64(i)/3
+			app.Ints[i] = int(seed) - 5*i
+			app.Grid[i] = make([]float64, cols)
+			for j := range app.Grid[i] {
+				app.Grid[i][j] = seed*float64(i) - float64(j)/7
+			}
+		}
+	}
+	pick := func(app *fieldApp, field string) any {
+		return map[string]any{"Vec": app.Vec, "Ints": app.Ints, "Grid": app.Grid}[field]
+	}
+	layouts := []struct {
+		name string
+		mod  func(field string) *Module
+		// skewed installs explicit Block cut points, as the rebalancer does.
+		skewed bool
+	}{
+		{"block", func(f string) *Module { return NewModule("w").PartitionedField(f, partition.Block) }, false},
+		{"block-rebalanced", func(f string) *Module { return NewModule("w").PartitionedField(f, partition.Block) }, true},
+		{"cyclic", func(f string) *Module { return NewModule("w").PartitionedField(f, partition.Cyclic) }, false},
+		{"block-cyclic", func(f string) *Module { return NewModule("w").PartitionedBlockCyclic(f, 2) }, false},
+	}
+	for _, field := range []string{"Vec", "Ints", "Grid"} {
+		for _, lay := range layouts {
+			for parts := 1; parts <= 4; parts++ {
+				src, dst := &fieldApp{}, &fieldApp{}
+				fill(src, 2.5)
+				fill(dst, -99)
+				bs, err := bindFields(src, specsOf(lay.mod(field)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				bd, err := bindFields(dst, specsOf(lay.mod(field)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if lay.skewed {
+					// Quadratic cut points: uneven, and part 0 is empty
+					// from four parts on.
+					bounds := make([]int, parts+1)
+					for p := range bounds {
+						bounds[p] = n * p * p / (parts * parts)
+					}
+					bs.setBounds(field, bounds)
+					bd.setBounds(field, bounds)
+				}
+				l, err := bs.layoutFor(field, parts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for p := 0; p < parts; p++ {
+					vec, err := bs.packOwned(field, l, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					frame, err := bs.packOwnedWire(field, l, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := mp.EncodeF64s(vec); !reflect.DeepEqual(frame, want) {
+						t.Fatalf("%s/%s/%d parts, part %d: wire frame differs from EncodeF64s(packOwned)", field, lay.name, parts, p)
+					}
+					if l.Kind == partition.Block {
+						// A Block part is one span: the rebalancer's span
+						// codec must agree with the owned-block codec.
+						lo, hi := l.Range(p)
+						span, err := bs.packSpanWire(field, lo, hi)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(span, frame) {
+							t.Fatalf("%s/%s/%d parts, part %d: span frame differs from owned-block frame", field, lay.name, parts, p)
+						}
+					}
+					if err := bd.unpackOwnedWire(field, l, p, frame); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !reflect.DeepEqual(pick(src, field), pick(dst, field)) {
+					t.Fatalf("%s/%s/%d parts: unpacking every part's frame did not reassemble the field", field, lay.name, parts)
+				}
+				if parts > 1 {
+					if err := bd.unpackOwnedWire(field, l, parts-1, make([]byte, 8)); err == nil {
+						t.Fatalf("%s/%s/%d parts: short frame accepted", field, lay.name, parts)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkGatherScatter moves one 4 MiB block per rank of a two-rank
+// block-partitioned matrix to the master and back — the data movement of
+// every canonical checkpoint, restore and migration in distributed modes.
+func BenchmarkGatherScatter(b *testing.B) {
+	const parts, rows, cols = 2, 1024, 1024 // 8 MiB field, 4 MiB per rank
+	for _, tcp := range []bool{false, true} {
+		name := "inproc"
+		if tcp {
+			name = "tcp"
+		}
+		b.Run(name, func(b *testing.B) {
+			var tr mp.Transport = mp.NewInProc(parts, nil)
+			if tcp {
+				tt, err := mp.NewTCP(parts, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tr = tt
+			}
+			defer tr.Close()
+			mod := NewModule("bench").PartitionedField("Grid", partition.Block)
+			fields := make([]*boundFields, parts)
+			for r := range fields {
+				app := &fieldApp{Grid: make([][]float64, rows)}
+				for i := range app.Grid {
+					app.Grid[i] = make([]float64, cols)
+				}
+				bf, err := bindFields(app, specsOf(mod))
+				if err != nil {
+					b.Fatal(err)
+				}
+				fields[r] = bf
+			}
+			b.ReportAllocs()
+			b.SetBytes(2 * 8 * rows * cols / parts) // one block each way
+			b.ResetTimer()
+			err := mp.NewWorld(tr, parts).Run(func(c *mp.Comm) error {
+				bf := fields[c.Rank()]
+				for i := 0; i < b.N; i++ {
+					if err := bf.gatherAt("Grid", c, 0, parts); err != nil {
+						return err
+					}
+					if err := bf.scatterFrom("Grid", c, 0, parts); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestHaloExchangeUpdatesBoundaryRows(t *testing.T) {
 	const rows, cols, parts = 6, 4, 2
 	tr := mp.NewInProc(parts, nil)

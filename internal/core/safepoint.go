@@ -432,7 +432,7 @@ func (c *Ctx) loadAtTarget() {
 			if c.commActive() {
 				c.distLoad()
 			} else {
-				c.must(c.fields.restore(c.mustSnap()))
+				c.restoreResume()
 			}
 			if c.IsMasterRank() {
 				e.recordLoad(replayDone, time.Since(start))
@@ -447,10 +447,24 @@ func (c *Ctx) loadAtTarget() {
 		}
 	default:
 		start := time.Now()
-		c.must(c.fields.restore(c.mustSnap()))
+		c.restoreResume()
 		e.recordLoad(replayDone, time.Since(start))
 	}
 	c.spCount = target
+}
+
+// restoreResume writes the canonical replay source into this line's fields,
+// then drops the engine's reference to it. Only the one line that restores
+// reads the source, and restore copies every value into the application's
+// own arrays, so nothing references the snapshot afterwards: a migration's
+// private copy goes back to the serial pools for the next capture.
+func (c *Ctx) restoreResume() {
+	e := c.eng
+	c.must(c.fields.restore(c.mustSnap()))
+	if e.resumeOwned {
+		serial.RecycleSnapshot(e.resumeSnap)
+	}
+	e.resumeSnap, e.resumeOwned = nil, false
 }
 
 // mustSnap returns the canonical snapshot found at start-up (materialising
@@ -494,7 +508,7 @@ func (c *Ctx) distLoad() {
 		return
 	}
 	if c.IsMasterRank() {
-		c.must(c.fields.restore(c.mustSnap()))
+		c.restoreResume()
 	}
 	for _, f := range c.fields.partitionedNames() {
 		c.must(c.fields.scatterFrom(f, c.comm, 0, c.Procs()))

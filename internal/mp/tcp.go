@@ -14,6 +14,10 @@ import (
 //
 //	u32 from | i64 tag | u32 len | payload
 //
+// Send writes the header and the caller's payload in one gathered write
+// (writev), so the payload is never copied into a frame buffer; the
+// transport's lock keeps concurrent senders' frames whole on the stream.
+//
 // The TCP world has a fixed size (Grow returns an error); run-time world
 // resizing is an in-process capability, while TCP worlds adapt via the
 // checkpoint/restart protocol — the same split the paper describes between
@@ -128,14 +132,14 @@ func (t *TCP) Send(from, to int, tag int64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 16+len(data))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(from))
-	binary.LittleEndian.PutUint64(buf[4:12], uint64(tag))
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(data)))
-	copy(buf[16:], data)
+	hdr := make([]byte, 16)
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(from))
+	binary.LittleEndian.PutUint64(hdr[4:12], uint64(tag))
+	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(data)))
+	frame := net.Buffers{hdr, data}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, err := c.Write(buf); err != nil {
+	if _, err := frame.WriteTo(c); err != nil {
 		delete(t.conns, [2]int{from, to})
 		return fmt.Errorf("mp: send %d->%d: %w", from, to, err)
 	}

@@ -126,10 +126,11 @@
 // distributed, hybrid). Returning an AdaptTarget with Mode set from a
 // policy (or passing it to RequestAdapt) migrates the running program to
 // another deployment at a safe point WITHOUT leaving Run: the engine takes
-// a canonical snapshot into an internal in-memory store, tears down the
-// current executor, builds the target-mode executor, and replays to the
-// same safe point — the paper's adaptation-by-restart (Figures 6 and 7)
-// collapsed into one process:
+// a canonical snapshot, hands a private in-memory copy of it to the
+// relaunch (no store and no serialisation), tears down the current
+// executor, builds the target-mode executor, and replays to the same safe
+// point — the paper's adaptation-by-restart (Figures 6 and 7) collapsed
+// into one process:
 //
 //	eng, _ := pp.New(factory,
 //		pp.WithMode(pp.Shared), pp.WithThreads(8), pp.WithModules(mods...),

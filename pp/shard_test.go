@@ -96,11 +96,16 @@ func TestShardFaultSweepLandsOnLastManifest(t *testing.T) {
 	// safe points 1 (anchor), 2-4 (deltas), so the sweep covers anchor
 	// writes, every delta chain position, manifest commits and the
 	// post-commit GC window.
-	const failAt = 5
+	const (
+		failAt       = 5
+		procs        = 2
+		every        = 1
+		compactEvery = 3
+	)
 	newOpts := func(store pp.Store, fail bool) []pp.Option {
 		opts := []pp.Option{
-			pp.WithProcs(2), pp.WithStore(store),
-			pp.WithShardCheckpoints(), pp.WithDeltaCheckpoint(1, 3), pp.WithAsyncCheckpoint(),
+			pp.WithProcs(procs), pp.WithStore(store),
+			pp.WithShardCheckpoints(), pp.WithDeltaCheckpoint(every, compactEvery), pp.WithAsyncCheckpoint(),
 		}
 		if fail {
 			opts = append(opts, pp.WithFailureAt(failAt, 0))
@@ -108,11 +113,23 @@ func TestShardFaultSweepLandsOnLastManifest(t *testing.T) {
 		return opts
 	}
 
-	// Dry run: count how many of each op an interrupted run performs. The
-	// asynchronous pool makes the exact counts timing-dependent, so treat
-	// them as an upper bound — a fault armed past the actual count simply
-	// never fires, and the assertion still holds.
-	counts := map[ckpt.FaultOp]int{}
+	// The sweep range is the schedule's upper bound on each op, so the
+	// subtests are the same in every run. The asynchronous pool folds
+	// waves, so a run may perform fewer ops than the bound: a fault armed
+	// past the actual count simply never fires, and the assertion still
+	// holds. Each wave writes one link per rank and commits at most one
+	// manifest; only anchor commits garbage-collect, once per rank.
+	waves := (failAt - 1) / every
+	anchors := (waves + compactEvery) / (compactEvery + 1)
+	bound := map[ckpt.FaultOp]int{
+		ckpt.OpSaveShardDelta:   waves * procs,
+		ckpt.OpSaveManifest:     waves,
+		ckpt.OpClearShardDeltas: anchors * procs,
+	}
+	// Dry run: the interrupted run must stay within the bound (or the sweep
+	// would miss ops) and reach its floor. Folding may collapse
+	// intermediate waves, but the exit drain guarantees at least the final
+	// wave landed in full: one link per rank plus its manifest.
 	{
 		store := ckpt.NewFault()
 		var total float64
@@ -120,14 +137,14 @@ func TestShardFaultSweepLandsOnLastManifest(t *testing.T) {
 		if err := eng.Run(); !errors.Is(err, pp.ErrInjectedFailure) {
 			t.Fatalf("dry run: %v", err)
 		}
-		for _, op := range []ckpt.FaultOp{ckpt.OpSaveShardDelta, ckpt.OpSaveManifest, ckpt.OpClearShardDeltas} {
-			counts[op] = store.Ops(op)
+		for op, limit := range bound {
+			if n := store.Ops(op); n > limit {
+				t.Fatalf("dry run performed %d %s ops, above the sweep bound %d", n, op, limit)
+			}
 		}
-		// Folding may collapse intermediate waves, but the exit drain
-		// guarantees at least the final wave landed in full: one link per
-		// rank plus its manifest.
-		if counts[ckpt.OpSaveShardDelta] < 2 || counts[ckpt.OpSaveManifest] < 1 {
-			t.Fatalf("dry run exercised too little: %v", counts)
+		if store.Ops(ckpt.OpSaveShardDelta) < procs || store.Ops(ckpt.OpSaveManifest) < 1 {
+			t.Fatalf("dry run exercised too little: %d links, %d manifests",
+				store.Ops(ckpt.OpSaveShardDelta), store.Ops(ckpt.OpSaveManifest))
 		}
 	}
 
@@ -142,7 +159,7 @@ func TestShardFaultSweepLandsOnLastManifest(t *testing.T) {
 	cases = append(cases, injection{ckpt.OpSaveShardDelta, true}, injection{ckpt.OpSaveManifest, true})
 
 	for _, inj := range cases {
-		for n := 1; n <= counts[inj.op]; n++ {
+		for n := 1; n <= bound[inj.op]; n++ {
 			kind := "fail"
 			if inj.torn {
 				kind = "tear"
