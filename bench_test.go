@@ -23,7 +23,6 @@ import (
 	"ppar/internal/md"
 	"ppar/internal/metrics"
 	"ppar/internal/serial"
-	"ppar/internal/team"
 	"ppar/pp"
 )
 
@@ -210,7 +209,7 @@ func BenchmarkFig6_RestartWider(b *testing.B) {
 		res := &jgf.SORResult{}
 		factory := func() pp.App { return jgf.NewSOR(benchN, benchIters, res) }
 		eng, err := pp.New(factory, benchOpts(pp.Distributed, 2,
-			pp.WithCheckpointDir(dir), pp.WithStopAt(benchIters/2))...)
+			pp.WithCheckpointDir(dir), pp.WithAdaptPolicy(pp.StopAt(benchIters/2)))...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,7 +235,7 @@ func BenchmarkFig7_RuntimeAdapt(b *testing.B) {
 		from := from
 		b.Run(fmt.Sprintf("from-%dLE", from), func(b *testing.B) {
 			opts := benchOpts(pp.Shared, from,
-				pp.WithAdaptAt(benchIters/2, pp.AdaptTarget{Threads: 8}))
+				pp.WithAdaptPolicy(pp.AdaptAt(benchIters/2, pp.AdaptTarget{Threads: 8})))
 			for i := 0; i < b.N; i++ {
 				rep := runBench(b, benchN, benchIters, opts...)
 				if !rep.Adapted {
@@ -257,7 +256,7 @@ func BenchmarkFig7_RestartAdapt(b *testing.B) {
 				res := &jgf.SORResult{}
 				factory := func() pp.App { return jgf.NewSOR(benchN, benchIters, res) }
 				eng, err := pp.New(factory, benchOpts(pp.Shared, from,
-					pp.WithCheckpointDir(dir), pp.WithStopAt(benchIters/2))...)
+					pp.WithCheckpointDir(dir), pp.WithAdaptPolicy(pp.StopAt(benchIters/2)))...)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -285,30 +284,11 @@ func BenchmarkFig8_OverDecomposition(b *testing.B) {
 	for _, of := range []int{1, 2, 4, 8, 16} {
 		of := of
 		b.Run(fmt.Sprintf("of-%d", of), func(b *testing.B) {
-			tasks := pe * of
+			opts := benchOpts(pp.Task, pe, pp.WithOverdecompose(of))
 			for i := 0; i < b.N; i++ {
-				g := jgf.NewSOR(benchN, benchIters, nil)
-				team.OverDecompose(tasks, pe, benchIters, func(task, iter int) {
-					lo, hi := team.StaticSpan(task, tasks, 1, benchN-1)
-					_ = lo
-					_ = hi
-					benchSweep(g, lo, hi)
-				})
+				runBench(b, benchN, benchIters, opts...)
 			}
 		})
-	}
-}
-
-func benchSweep(g *jgf.SOR, lo, hi int) {
-	omega, oneMinus := g.Omega, 1-g.Omega
-	for colour := 0; colour < 2; colour++ {
-		for i := lo; i < hi; i++ {
-			row := g.G[i]
-			up, down := g.G[i-1], g.G[i+1]
-			for j := 1 + (i+colour)%2; j < g.N-1; j += 2 {
-				row[j] = omega*0.25*(up[j]+down[j]+row[j-1]+row[j+1]) + oneMinus*row[j]
-			}
-		}
 	}
 }
 
@@ -520,14 +500,14 @@ func BenchmarkModeMigration(b *testing.B) {
 	}{
 		{"smp4-to-dist4", []pp.Option{
 			pp.WithMode(pp.Shared), pp.WithThreads(4),
-			pp.WithAdaptAt(benchIters/2, pp.AdaptTarget{Mode: pp.Distributed, Procs: 4})}},
+			pp.WithAdaptPolicy(pp.AdaptAt(benchIters/2, pp.AdaptTarget{Mode: pp.Distributed, Procs: 4}))}},
 		{"dist4-to-smp4", []pp.Option{
 			pp.WithMode(pp.Distributed), pp.WithProcs(4),
-			pp.WithAdaptAt(benchIters/2, pp.AdaptTarget{Mode: pp.Shared, Threads: 4})}},
+			pp.WithAdaptPolicy(pp.AdaptAt(benchIters/2, pp.AdaptTarget{Mode: pp.Shared, Threads: 4}))}},
 		{"smp4-to-dist4-ckpt", []pp.Option{
 			pp.WithMode(pp.Shared), pp.WithThreads(4),
 			pp.WithStore(pp.NewMemStore()), pp.WithCheckpointEvery(5),
-			pp.WithAdaptAt(benchIters/2, pp.AdaptTarget{Mode: pp.Distributed, Procs: 4})}},
+			pp.WithAdaptPolicy(pp.AdaptAt(benchIters/2, pp.AdaptTarget{Mode: pp.Distributed, Procs: 4}))}},
 	} {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {

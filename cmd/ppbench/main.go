@@ -255,7 +255,7 @@ func migrationDemo(modeName string, at uint64, n, iters int, emit func(*metrics.
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	migTotal, migRep, err := run(pp.WithAdaptAt(at, pp.AdaptTarget{Mode: target, Procs: 4, Threads: 4}))
+	migTotal, migRep, err := run(pp.WithAdaptPolicy(pp.AdaptAt(at, pp.AdaptTarget{Mode: target, Procs: 4, Threads: 4})))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -83,8 +83,8 @@ func run() int {
 		pp.WithModules(jgf.SORModules(moduleMode)...),
 		pp.WithCheckpointEvery(*every),
 		pp.WithFailureAt(*fail, *failRank),
-		pp.WithStopAt(*stopAt),
-		pp.WithAdaptAt(*adaptAt, target),
+		pp.WithAdaptPolicy(pp.StopAt(*stopAt)),
+		pp.WithAdaptPolicy(pp.AdaptAt(*adaptAt, target)),
 	}
 	if *tcp {
 		opts = append(opts, pp.WithTCP())

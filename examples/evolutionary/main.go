@@ -44,7 +44,7 @@ func main() {
 		{"4 threads", pp.Shared, []pp.Option{pp.WithThreads(4)}},
 		{"4 replicas", pp.Distributed, []pp.Option{pp.WithProcs(4)}},
 		{"2 replicas -> 4 mid-run", pp.Distributed, []pp.Option{pp.WithProcs(2),
-			pp.WithAdaptAt(20, pp.AdaptTarget{Procs: 4})}},
+			pp.WithAdaptPolicy(pp.AdaptAt(20, pp.AdaptTarget{Procs: 4}))}},
 	}
 	for _, v := range variants {
 		if got := run(v.label, v.mode, v.opts...); got != ref {

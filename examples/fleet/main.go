@@ -79,7 +79,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	waitFor(sup, high, func(st fleet.JobStatus) bool { return st.State == fleet.Running })
+	// The short high-priority job may finish between two polls, so Done
+	// counts as admitted too.
+	waitFor(sup, high, func(st fleet.JobStatus) bool { return st.State == fleet.Running || st.State == fleet.Done })
 	lo, _ := sup.Job(low)
 	fmt.Printf("  high-priority job %d admitted; low job shrunk to alloc %d at a safe point\n", high, lo.Alloc)
 

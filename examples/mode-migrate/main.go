@@ -29,19 +29,19 @@ func main() {
 			"smp(4) -> dist(4) at safe point 20",
 			pp.Shared,
 			[]pp.Option{pp.WithThreads(4),
-				pp.WithAdaptAt(20, pp.AdaptTarget{Mode: pp.Distributed, Procs: 4})},
+				pp.WithAdaptPolicy(pp.AdaptAt(20, pp.AdaptTarget{Mode: pp.Distributed, Procs: 4}))},
 		},
 		{
 			"dist(4) -> smp(4) at safe point 20",
 			pp.Distributed,
 			[]pp.Option{pp.WithProcs(4),
-				pp.WithAdaptAt(20, pp.AdaptTarget{Mode: pp.Shared, Threads: 4})},
+				pp.WithAdaptPolicy(pp.AdaptAt(20, pp.AdaptTarget{Mode: pp.Shared, Threads: 4}))},
 		},
 		{
 			"seq -> hybrid(2x2) at safe point 10",
 			pp.Sequential,
 			[]pp.Option{
-				pp.WithAdaptAt(10, pp.AdaptTarget{Mode: pp.Hybrid, Procs: 2, Threads: 2})},
+				pp.WithAdaptPolicy(pp.AdaptAt(10, pp.AdaptTarget{Mode: pp.Hybrid, Procs: 2, Threads: 2}))},
 		},
 		{
 			"smp(2) -> dist(3) -> smp(4) (Schedule policy, there and back)",

@@ -226,9 +226,8 @@ type Config struct {
 	DeltaCompactEvery int
 
 	// Policy, when non-nil, is consulted at every safe point to decide
-	// run-time adaptations and checkpoint-and-stop (see AdaptPolicy). It
-	// composes with the legacy one-shot fields below: all are folded into
-	// one chained policy, legacy fields first.
+	// run-time adaptations and checkpoint-and-stop (see AdaptPolicy):
+	// AdaptAt, StopAt, Schedule, a PolicyFunc, or the autoscaler.
 	Policy AdaptPolicy
 	// OnAdapt, when non-nil, is invoked once per applied reshaping — an
 	// in-place thread/world resize or an in-process cross-mode migration —
@@ -239,22 +238,9 @@ type Config struct {
 	// it to learn when a requested resize actually landed and re-budget.
 	OnAdapt func(sp uint64, mode Mode, threads, procs int)
 	// Driver, when non-nil, is started when the run starts and stopped
-	// when it ends. It models an external resource manager feeding
-	// RequestAdapt/RequestStop from outside the deterministic policy path
-	// (ppar/internal/adapt.Manager implements it).
+	// when it ends. It feeds RequestAdapt/RequestStop from outside the
+	// deterministic policy path; the autoscaler plugs in here.
 	Driver AdaptDriver
-
-	// AdaptAt schedules a run-time adaptation at an absolute safe point.
-	//
-	// Deprecated-style sugar: equivalent to Policy: AdaptAt(sp, AdaptTo).
-	AdaptAtSafePoint uint64
-	// AdaptTo is the target applied at AdaptAtSafePoint.
-	AdaptTo AdaptTarget
-	// StopCheckpointAt takes a canonical checkpoint at the given safe
-	// point and stops the run — the paper's adaptation-by-restart: the
-	// caller relaunches a differently-configured engine which replays
-	// from the snapshot (Figures 6 and 7). Sugar for Policy: StopAt(sp).
-	StopCheckpointAt uint64
 
 	// FailAtSafePoint injects a failure (process death) at the given safe
 	// point, on rank FailRank in distributed modes. The ledger is left
@@ -292,25 +278,6 @@ func (c *Config) normalize() error {
 	if c.Overdecompose <= 0 {
 		c.Overdecompose = 8
 	}
-	if c.AdaptTo.Mode != 0 && !validMode(c.AdaptTo.Mode) {
-		return fmt.Errorf("core: AdaptTo requests migration to unknown mode %d", int(c.AdaptTo.Mode))
-	}
-	// migrates reports whether the scheduled one-shot target leaves the
-	// current executor behind; a migration rebuilds the machinery from
-	// scratch, so the in-place resizing constraints below do not apply.
-	migrates := c.AdaptTo.Mode != 0 && c.AdaptTo.Mode != c.Mode
-	if c.Mode == Sequential && c.AdaptAtSafePoint > 0 && !migrates {
-		return errors.New(seqCannotResizeMsg)
-	}
-	if c.Mode == Hybrid && c.AdaptTo.Procs > 0 && !migrates {
-		return errors.New(hybridCannotResizeMsg)
-	}
-	if c.Mode == Task && c.AdaptTo.Procs > 0 && c.AdaptTo.Procs != c.Procs && !migrates {
-		return errors.New(taskCannotResizeWorldMsg)
-	}
-	if c.TCP && c.AdaptTo.Procs > 0 && !migrates {
-		return errors.New(tcpCannotResizeMsg)
-	}
 	if c.DeltaCheckpoint && c.CheckpointEvery == 0 {
 		// Silently taking zero checkpoints would make the option a no-op;
 		// incremental checkpointing only means something periodically.
@@ -334,7 +301,7 @@ type Report struct {
 	ReplayTime  time.Duration `json:"replay_time"` // run start -> replay target reached (excl. load)
 	Elapsed     time.Duration `json:"elapsed"`     // total wall time of Run
 	Adapted     bool          `json:"adapted"`     // a run-time adaptation was applied
-	Stopped     bool          `json:"stopped"`     // stopped by StopCheckpointAt
+	Stopped     bool          `json:"stopped"`     // checkpointed and stopped (StopAt, RequestStop, cancellation)
 	StoppedAt   uint64        `json:"stopped_at"`
 	Failed      bool          `json:"failed"`    // an injected failure occurred
 	Restarted   bool          `json:"restarted"` // this run replayed from a checkpoint
@@ -492,20 +459,8 @@ func New(cfg Config, factory Factory) (*Engine, error) {
 		factory: factory,
 		adv:     mergeModules(cfg.Modules),
 		crits:   map[string]*sync.Mutex{},
+		policy:  cfg.Policy,
 	}
-	// Fold the legacy one-shot trigger fields and the pluggable policy
-	// into one chain (legacy triggers first, matching their old priority).
-	var ps []AdaptPolicy
-	if cfg.StopCheckpointAt > 0 {
-		ps = append(ps, StopAt(cfg.StopCheckpointAt))
-	}
-	if cfg.AdaptAtSafePoint > 0 {
-		ps = append(ps, AdaptAt(cfg.AdaptAtSafePoint, cfg.AdaptTo))
-	}
-	if cfg.Policy != nil {
-		ps = append(ps, cfg.Policy)
-	}
-	e.policy = Policies(ps...)
 	e.curMode = cfg.Mode
 	e.curThreads.Store(int64(cfg.Threads))
 	e.curProcs.Store(int64(cfg.Procs))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -199,8 +200,7 @@ func TestThreadAdaptation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			got, rep := runStencil(t, Config{
 				Mode: Shared, Threads: tc.from,
-				AdaptAtSafePoint: 6,
-				AdaptTo:          AdaptTarget{Threads: tc.to},
+				Policy: AdaptAt(6, AdaptTarget{Threads: tc.to}),
 			})
 			gridsEqual(t, tc.name, ref, got)
 			if tc.from != tc.to && !rep.Adapted {
@@ -246,8 +246,7 @@ func TestProcAdaptation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			got, rep := runStencil(t, Config{
 				Mode: Distributed, Procs: tc.from,
-				AdaptAtSafePoint: 6,
-				AdaptTo:          AdaptTarget{Procs: tc.to},
+				Policy: AdaptAt(6, AdaptTarget{Procs: tc.to}),
 			})
 			gridsEqual(t, tc.name, ref, got)
 			if !rep.Adapted {
@@ -281,7 +280,7 @@ func TestStopRestartAcrossModes(t *testing.T) {
 			from.AppName = "stencil"
 			from.Modules = modulesFor(from.Mode)
 			from.CheckpointDir = dir
-			from.StopCheckpointAt = 7
+			from.Policy = StopAt(7)
 			eng, err := New(from, func() App { return newStencil(tN, tIters, sink) })
 			if err != nil {
 				t.Fatal(err)
@@ -326,20 +325,20 @@ func TestInProcessMigrationStencil(t *testing.T) {
 		cfg  Config
 	}{
 		{"smp-to-dist", Config{Mode: Shared, Threads: 2, Modules: full,
-			AdaptAtSafePoint: 5, AdaptTo: AdaptTarget{Mode: Distributed, Procs: 3}}},
+			Policy: AdaptAt(5, AdaptTarget{Mode: Distributed, Procs: 3})}},
 		{"dist-to-smp", Config{Mode: Distributed, Procs: 3, Modules: full,
-			AdaptAtSafePoint: 5, AdaptTo: AdaptTarget{Mode: Shared, Threads: 3}}},
+			Policy: AdaptAt(5, AdaptTarget{Mode: Shared, Threads: 3})}},
 		{"seq-to-hybrid", Config{Mode: Sequential, Modules: full,
-			AdaptAtSafePoint: 5, AdaptTo: AdaptTarget{Mode: Hybrid, Procs: 2, Threads: 2}}},
+			Policy: AdaptAt(5, AdaptTarget{Mode: Hybrid, Procs: 2, Threads: 2})}},
 		{"hybrid-to-seq", Config{Mode: Hybrid, Procs: 2, Threads: 2, Modules: full,
-			AdaptAtSafePoint: 5, AdaptTo: AdaptTarget{Mode: Sequential}}},
+			Policy: AdaptAt(5, AdaptTarget{Mode: Sequential})}},
 		{"tcp-to-smp", Config{Mode: Distributed, Procs: 2, TCP: true, Modules: full,
-			AdaptAtSafePoint: 5, AdaptTo: AdaptTarget{Mode: Shared, Threads: 2}}},
+			Policy: AdaptAt(5, AdaptTarget{Mode: Shared, Threads: 2})}},
 		// With TCP configured, the migration target's world is built over a
 		// fresh TCP transport — the fixed-world constraint only ever bound
 		// in-place resizing, not executor rebuilds.
 		{"smp-to-tcp", Config{Mode: Shared, Threads: 2, TCP: true, Modules: full,
-			AdaptAtSafePoint: 5, AdaptTo: AdaptTarget{Mode: Distributed, Procs: 2}}},
+			Policy: AdaptAt(5, AdaptTarget{Mode: Distributed, Procs: 2})}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -406,19 +405,56 @@ func TestStockExecutors(t *testing.T) {
 	}
 }
 
+// TestConfigValidation pins where adaptation targets are checked: New
+// accepts any policy, and a target the executor cannot honour aborts the
+// run when it fires, with the constraint's message naming the alternative.
+// Migrations out of the modes that cannot resize in place still succeed.
 func TestConfigValidation(t *testing.T) {
-	mk := func(cfg Config) error {
-		_, err := New(cfg, func() App { return newStencil(4, 1, &resultSink{}) })
-		return err
+	ref, _ := runStencil(t, Config{Mode: Sequential})
+	full := []*Module{stencilSMP(), stencilDist(), stencilCkpt()}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		msg  string // "" = the run succeeds with the reference result
+	}{
+		{"seq-threads", Config{Mode: Sequential,
+			Policy: AdaptAt(1, AdaptTarget{Threads: 2})}, seqCannotResizeMsg},
+		{"hybrid-procs", Config{Mode: Hybrid, Procs: 2, Threads: 2,
+			Policy: AdaptAt(1, AdaptTarget{Procs: 3})}, hybridCannotResizeMsg},
+		{"tcp-procs", Config{Mode: Distributed, Procs: 2, TCP: true,
+			Policy: AdaptAt(1, AdaptTarget{Procs: 4})}, tcpCannotResizeMsg},
+		{"task-procs", Config{Mode: Task, Procs: 2, Threads: 2,
+			Policy: AdaptAt(1, AdaptTarget{Procs: 3})}, taskCannotResizeWorldMsg},
+		{"unknown-mode", Config{Mode: Shared, Threads: 2,
+			Policy: AdaptAt(1, AdaptTarget{Mode: Mode(99)})}, "core: migration requests unknown mode 99"},
+		{"seq-migrates", Config{Mode: Sequential,
+			Policy: AdaptAt(1, AdaptTarget{Mode: Shared, Threads: 2})}, ""},
+		{"tcp-migrates", Config{Mode: Distributed, Procs: 2, TCP: true,
+			Policy: AdaptAt(1, AdaptTarget{Mode: Shared, Threads: 2})}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Modules = full
+			sink := &resultSink{}
+			eng, err := New(cfg, func() App { return newStencil(tN, tIters, sink) })
+			if err != nil {
+				t.Fatalf("New rejected a policy it cannot evaluate yet: %v", err)
+			}
+			err = eng.Run()
+			if tc.msg == "" {
+				if err != nil {
+					t.Fatalf("migration rejected: %v", err)
+				}
+				gridsEqual(t, tc.name, ref, sink.get())
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.msg) {
+				t.Fatalf("run error %v, want one carrying %q", err, tc.msg)
+			}
+		})
 	}
-	if err := mk(Config{Mode: Sequential, AdaptAtSafePoint: 1, AdaptTo: AdaptTarget{Threads: 2}}); err == nil {
-		t.Error("sequential runtime adaptation accepted")
-	}
-	if err := mk(Config{Mode: Hybrid, AdaptAtSafePoint: 1, AdaptTo: AdaptTarget{Procs: 2}}); err == nil {
-		t.Error("hybrid world resizing accepted")
-	}
-	if err := mk(Config{Mode: Distributed, TCP: true, AdaptAtSafePoint: 1, AdaptTo: AdaptTarget{Procs: 4}}); err == nil {
-		t.Error("TCP world resizing accepted")
+	if _, err := New(Config{Mode: Mode(99)}, func() App { return newStencil(4, 1, &resultSink{}) }); err == nil {
+		t.Error("unknown deployment mode accepted")
 	}
 	if _, err := New(Config{}, nil); err == nil {
 		t.Error("nil factory accepted")

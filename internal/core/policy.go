@@ -53,11 +53,9 @@ type RunStats struct {
 // its argument (every line of execution evaluates it independently and all
 // must agree); return the zero AdaptTarget to leave the run unchanged.
 //
-// Policies subsume the former one-shot Config fields: AdaptAtSafePoint +
-// AdaptTo is AdaptAt, StopCheckpointAt is StopAt. Time-driven, external or
-// otherwise non-deterministic decisions must instead go through
-// Engine.RequestAdapt / Engine.RequestStop, which serialise the request
-// through the coordinator.
+// Time-driven, external or otherwise non-deterministic decisions must
+// instead go through Engine.RequestAdapt / Engine.RequestStop, which
+// serialise the request through the coordinator.
 type AdaptPolicy interface {
 	Decide(RunStats) AdaptTarget
 }
@@ -68,8 +66,8 @@ type PolicyFunc func(RunStats) AdaptTarget
 // Decide calls f.
 func (f PolicyFunc) Decide(s RunStats) AdaptTarget { return f(s) }
 
-// AdaptAt returns a policy that requests target exactly at safe point sp —
-// the pluggable form of the former Config.AdaptAtSafePoint/AdaptTo pair.
+// AdaptAt returns a policy that requests target exactly at safe point sp.
+// Safe points count from 1, so a policy keyed at 0 never fires.
 func AdaptAt(sp uint64, target AdaptTarget) AdaptPolicy {
 	return PolicyFunc(func(s RunStats) AdaptTarget {
 		if s.SafePoint == sp {
@@ -80,8 +78,7 @@ func AdaptAt(sp uint64, target AdaptTarget) AdaptPolicy {
 }
 
 // StopAt returns a policy that checkpoints and stops the run exactly at
-// safe point sp — the pluggable form of the former Config.StopCheckpointAt
-// (adaptation by restart, Figures 6 and 7).
+// safe point sp — adaptation by restart (Figures 6 and 7).
 func StopAt(sp uint64) AdaptPolicy {
 	return PolicyFunc(func(s RunStats) AdaptTarget {
 		if s.SafePoint == sp {
@@ -98,9 +95,9 @@ type AdaptStep struct {
 }
 
 // Schedule returns a policy that replays a fixed sequence of reshapings
-// keyed by safe point — the deterministic analogue of the wall-clock
-// resource-manager simulation in ppar/internal/adapt, usable in every mode
-// (including distributed, where wall-clock triggers cannot be agreed on).
+// keyed by safe point — a resource-manager trace made deterministic, so it
+// is usable in every mode (including distributed, where wall-clock triggers
+// cannot be agreed on).
 func Schedule(steps ...AdaptStep) AdaptPolicy {
 	return PolicyFunc(func(s RunStats) AdaptTarget {
 		for _, st := range steps {
@@ -113,11 +110,11 @@ func Schedule(steps ...AdaptStep) AdaptPolicy {
 }
 
 // AdaptDriver is an external source of adaptation requests — the resource
-// manager of §I, living outside the run. Drive is called when the run
-// starts; the returned stop function is called (once) when it ends. A
-// driver feeds Engine.RequestAdapt / Engine.RequestStop asynchronously;
-// requests are serialised through the coordinator, so unlike an
-// AdaptPolicy it need not be deterministic.
+// manager of §I, living outside the run; the autoscaler is one. Drive is
+// called when the run starts; the returned stop function is called (once)
+// when it ends. A driver feeds Engine.RequestAdapt / Engine.RequestStop
+// asynchronously; requests are serialised through the coordinator, so
+// unlike an AdaptPolicy it need not be deterministic.
 type AdaptDriver interface {
 	Drive(e *Engine) (stop func())
 }

@@ -136,3 +136,24 @@ func TestRealFiguresTinyScale(t *testing.T) {
 		t.Errorf("Fig9Real: %v", err)
 	}
 }
+
+// Fig8Real runs SOR on the Task executor at every overdecomposition factor
+// and fails unless each result equals jgf.SORReference; an uneven grid and
+// an odd worker count leave chunks of unequal size.
+func TestFig8RealMatchesReference(t *testing.T) {
+	scale := RealScale{N: 37, Iters: 5, MaxPE: 6}
+	tbl, err := Fig8Real(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tbl.Rows()
+	factors := []int{1, 2, 4, 8, 16}
+	if len(rows) != len(factors) {
+		t.Fatalf("%d rows, want %d factors", len(rows), len(factors))
+	}
+	for i, of := range factors {
+		if rows[i][0] != strconv.Itoa(of) || rows[i][1] != strconv.Itoa(3*of) {
+			t.Errorf("row %d = %v, want factor %d over %d tasks", i, rows[i], of, 3*of)
+		}
+	}
+}

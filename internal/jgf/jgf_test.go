@@ -80,8 +80,8 @@ func TestSORAdaptationMatchesReference(t *testing.T) {
 	res := &SORResult{}
 	cfg := core.Config{
 		Mode: core.Shared, Threads: 2, AppName: "sor",
-		Modules:          SORModules(core.Shared),
-		AdaptAtSafePoint: 5, AdaptTo: core.AdaptTarget{Threads: 4},
+		Modules: SORModules(core.Shared),
+		Policy:  core.AdaptAt(5, core.AdaptTarget{Threads: 4}),
 	}
 	rep := run(t, cfg, func() core.App { return NewSOR(32, 10, res) })
 	if !rep.Adapted {

@@ -74,24 +74,7 @@ func Sequential(n, iters int) float64 {
 func Threads(n, iters, nthreads int) float64 {
 	g := newGrid(n)
 	var wg sync.WaitGroup
-	barrier := make(chan struct{})
-	arrive := make(chan struct{}, nthreads)
-	// Simple coordinator-based barrier keeps the port honest to the JGF
-	// thread version's structure without importing the team substrate.
-	syncAll := func() {
-		arrive <- struct{}{}
-		<-barrier
-	}
-	go func() {
-		for round := 0; round < iters*2; round++ {
-			for k := 0; k < nthreads; k++ {
-				<-arrive
-			}
-			for k := 0; k < nthreads; k++ {
-				barrier <- struct{}{}
-			}
-		}
-	}()
+	syncAll := newBarrier(nthreads)
 	rowsPer := (n + nthreads - 1) / nthreads
 	for t := 0; t < nthreads; t++ {
 		wg.Add(1)
@@ -112,6 +95,29 @@ func Threads(n, iters, nthreads int) float64 {
 	}
 	wg.Wait()
 	return gtotal(g)
+}
+
+// newBarrier returns a reusable barrier for n threads. Each round has its
+// own release channel, closed by the round's last arrival, so a thread that
+// races ahead into the next round waits on that round's channel and cannot
+// take a release meant for a slower peer. It is hand-rolled rather than
+// taken from the team substrate, which is the machinery under comparison.
+func newBarrier(n int) func() {
+	var mu sync.Mutex
+	arrived := 0
+	release := make(chan struct{})
+	return func() {
+		mu.Lock()
+		round := release
+		arrived++
+		if arrived == n {
+			arrived = 0
+			release = make(chan struct{})
+			close(round)
+		}
+		mu.Unlock()
+		<-round
+	}
 }
 
 // MPI is the stock message-passing SOR: block rows, halo exchange per

@@ -29,7 +29,8 @@ type AutoScaleShape = autoscale.Shape
 func NewAutoScale(cfg AutoScaleConfig) *AutoScale { return autoscale.New(cfg) }
 
 // WithAutoScale attaches a feedback autoscaler as the run's adaptation
-// driver — shorthand for WithAdaptManager(a) that reads as what it does.
+// driver: it is started when the run starts, feeds RequestAdapt and
+// RequestStop from its measurements, and is stopped when the run ends.
 func WithAutoScale(a *AutoScale) Option {
 	return func(c *core.Config) { c.Driver = a }
 }

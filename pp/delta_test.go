@@ -209,7 +209,7 @@ func TestAsyncDeltaAdaptStopHammer(t *testing.T) {
 			eng := deploy(t, &total, pp.Shared, pp.WithThreads(4),
 				pp.WithStore(store),
 				pp.WithDeltaCheckpoint(1, 3), pp.WithAsyncCheckpoint(),
-				pp.WithAdaptAt(3, pp.AdaptTarget{Threads: 2}))
+				pp.WithAdaptPolicy(pp.AdaptAt(3, pp.AdaptTarget{Threads: 2})))
 			var wg sync.WaitGroup
 			wg.Add(1)
 			go func() {

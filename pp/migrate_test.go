@@ -85,7 +85,7 @@ func TestInProcessMigrationMatrix(t *testing.T) {
 				var total float64
 				eng := deployMig(t, &total, from.mode, append(append([]pp.Option{},
 					from.opts...),
-					pp.WithAdaptAt(3, targetFor(to.mode)))...)
+					pp.WithAdaptPolicy(pp.AdaptAt(3, targetFor(to.mode))))...)
 				if err := eng.Run(); err != nil {
 					t.Fatalf("migrated run: %v", err)
 				}
@@ -136,7 +136,7 @@ func TestMigrationMatchesRestartPath(t *testing.T) {
 	store := pp.NewMemStore()
 	var restartTotal float64
 	stopEng := deployMig(t, &restartTotal, pp.Shared, pp.WithThreads(2),
-		pp.WithStore(store), pp.WithStopAt(3))
+		pp.WithStore(store), pp.WithAdaptPolicy(pp.StopAt(3)))
 	var stopped *pp.ErrStopped
 	if err := stopEng.Run(); !errors.As(err, &stopped) {
 		t.Fatalf("stop run: %v", err)
@@ -150,7 +150,7 @@ func TestMigrationMatchesRestartPath(t *testing.T) {
 	// New path: the same move without leaving Run.
 	var migTotal float64
 	migEng := deployMig(t, &migTotal, pp.Shared, pp.WithThreads(2),
-		pp.WithAdaptAt(3, pp.AdaptTarget{Mode: pp.Distributed, Procs: 3}))
+		pp.WithAdaptPolicy(pp.AdaptAt(3, pp.AdaptTarget{Mode: pp.Distributed, Procs: 3})))
 	if err := migEng.Run(); err != nil {
 		t.Fatalf("migrated run: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestMigrationThenKillRestartsInThirdMode(t *testing.T) {
 	var total float64
 	eng := deployMig(t, &total, pp.Shared, pp.WithThreads(2),
 		pp.WithStore(store), pp.WithCheckpointEvery(2),
-		pp.WithAdaptAt(3, pp.AdaptTarget{Mode: pp.Distributed, Procs: 3}),
+		pp.WithAdaptPolicy(pp.AdaptAt(3, pp.AdaptTarget{Mode: pp.Distributed, Procs: 3})),
 		pp.WithFailureAt(5, 0))
 	if err := eng.Run(); !errors.Is(err, pp.ErrInjectedFailure) {
 		t.Fatalf("migrated+killed run: %v, want injected failure", err)
@@ -229,7 +229,7 @@ func TestMigrationPersistsDueCheckpoint(t *testing.T) {
 	var total float64
 	eng := deployMig(t, &total, pp.Shared, pp.WithThreads(2),
 		pp.WithStore(store), pp.WithCheckpointEvery(3), pp.WithMaxCheckpoints(1),
-		pp.WithAdaptAt(3, pp.AdaptTarget{Mode: pp.Distributed, Procs: 3}))
+		pp.WithAdaptPolicy(pp.AdaptAt(3, pp.AdaptTarget{Mode: pp.Distributed, Procs: 3})))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestPendingRequestSurvivesCollidingMigration(t *testing.T) {
 	// — exactly where the policy migration fires and wins.
 	eng := deployMig(t, &total, pp.Shared, pp.WithThreads(2),
 		pp.WithStore(store),
-		pp.WithAdaptAt(2, pp.AdaptTarget{Mode: pp.Distributed, Procs: 3}))
+		pp.WithAdaptPolicy(pp.AdaptAt(2, pp.AdaptTarget{Mode: pp.Distributed, Procs: 3})))
 	eng.RequestStop()
 	err := eng.Run()
 	var stopped *pp.ErrStopped
@@ -318,29 +318,6 @@ func TestSharedWorldResizeAbortsLoudly(t *testing.T) {
 	}
 }
 
-// TestMigrationViaAdaptManager drives the migration from a simulated
-// resource manager: a Migrate event fires immediately, so the coordinator
-// schedules the executor swap at its next safe point.
-func TestMigrationViaAdaptManager(t *testing.T) {
-	want := run(t, pp.Sequential)
-	var total float64
-	mgr := pp.NewAdaptManager(pp.Migrate(0, pp.Distributed, pp.AdaptTarget{Procs: 3}))
-	eng := deployMig(t, &total, pp.Shared, pp.WithThreads(2),
-		pp.WithAdaptManager(mgr))
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if total != want {
-		t.Fatalf("total=%v want %v", total, want)
-	}
-	if rep := eng.Report(); rep.Migrations != 1 {
-		t.Fatalf("manager migration not applied: %+v", rep)
-	}
-	if fired := mgr.Fired(); len(fired) != 1 {
-		t.Fatalf("manager fired %d events, want 1", len(fired))
-	}
-}
-
 // TestMigrationHammer races RequestStop against an async-delta-checkpointing
 // run that migrates smp -> dist mid-run (run under -race in CI). Whenever
 // the run stops — before, during or after the migration — the drain-before-
@@ -355,7 +332,7 @@ func TestMigrationHammer(t *testing.T) {
 			eng := deployMig(t, &total, pp.Shared, pp.WithThreads(4),
 				pp.WithStore(store),
 				pp.WithDeltaCheckpoint(1, 3), pp.WithAsyncCheckpoint(),
-				pp.WithAdaptAt(3, pp.AdaptTarget{Mode: pp.Distributed, Procs: 3}))
+				pp.WithAdaptPolicy(pp.AdaptAt(3, pp.AdaptTarget{Mode: pp.Distributed, Procs: 3})))
 			var wg sync.WaitGroup
 			wg.Add(1)
 			go func() {
@@ -399,46 +376,43 @@ func TestMigrationHammer(t *testing.T) {
 	}
 }
 
-// TestMigrationTargetValidation pins the static rejections: an AdaptTo.Mode
-// outside the four deployments fails at New, while formerly rejected
-// combinations that a migration CAN honour are now accepted.
+// TestMigrationTargetValidation pins the run-time rejections: a target
+// Mode outside the five deployments, or an in-place world resize of a TCP
+// world, aborts the run with a descriptive error when it fires, while the
+// combinations a migration CAN honour — a Sequential or a TCP source — land
+// on the unmigrated result.
 func TestMigrationTargetValidation(t *testing.T) {
+	want := run(t, pp.Sequential)
 	var total float64
-	_, err := pp.New(func() pp.App { return &counter{Out: make([]float64, 12), Blocks: 2, total: &total} },
-		pp.WithName("pp-counter"), pp.WithMode(pp.Shared), pp.WithThreads(2),
-		pp.WithModules(migModules()...))
-	if err != nil {
-		t.Fatal(err)
+	bad := deployMig(t, &total, pp.Shared, pp.WithThreads(2),
+		pp.WithAdaptPolicy(pp.AdaptAt(2, pp.AdaptTarget{Mode: pp.Mode(99)})))
+	if err := bad.Run(); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+		t.Fatalf("out-of-range target Mode accepted: %v", err)
 	}
-	bad := pp.Config{
-		Mode: pp.Shared, Threads: 2, Modules: migModules(),
-		AdaptAtSafePoint: 2, AdaptTo: pp.AdaptTarget{Mode: pp.Mode(99)},
-	}
-	if _, err := pp.NewFromConfig(bad, func() pp.App { return &counter{Out: make([]float64, 12), Blocks: 2, total: &total} }); err == nil ||
-		!strings.Contains(err.Error(), "unknown mode") {
-		t.Fatalf("out-of-range AdaptTo.Mode accepted: %v", err)
-	}
-	// Sequential-source migration is now legal (the old static rejection
-	// named only adaptation by restart).
-	okSeq := pp.Config{
-		Mode: pp.Sequential, Modules: migModules(),
-		AdaptAtSafePoint: 2, AdaptTo: pp.AdaptTarget{Mode: pp.Shared, Threads: 2},
-	}
-	if _, err := pp.NewFromConfig(okSeq, func() pp.App { return &counter{Out: make([]float64, 12), Blocks: 2, total: &total} }); err != nil {
-		t.Fatalf("sequential-source migration rejected: %v", err)
-	}
-	// A TCP world still cannot resize in place, but may migrate.
-	okTCP := pp.Config{
-		Mode: pp.Distributed, Procs: 2, TCP: true, Modules: migModules(),
-		AdaptAtSafePoint: 2, AdaptTo: pp.AdaptTarget{Mode: pp.Shared, Threads: 2},
-	}
-	if _, err := pp.NewFromConfig(okTCP, func() pp.App { return &counter{Out: make([]float64, 12), Blocks: 2, total: &total} }); err != nil {
-		t.Fatalf("TCP-source migration rejected: %v", err)
-	}
-	badTCP := okTCP
-	badTCP.AdaptTo = pp.AdaptTarget{Procs: 4}
-	if _, err := pp.NewFromConfig(badTCP, func() pp.App { return &counter{Out: make([]float64, 12), Blocks: 2, total: &total} }); err == nil ||
-		!strings.Contains(err.Error(), "AdaptTarget.Mode") {
+	badTCP := deployMig(t, &total, pp.Distributed, pp.WithProcs(2), pp.WithTCP(),
+		pp.WithAdaptPolicy(pp.AdaptAt(2, pp.AdaptTarget{Procs: 4})))
+	if err := badTCP.Run(); err == nil || !strings.Contains(err.Error(), "AdaptTarget.Mode") {
 		t.Fatalf("TCP in-place world resize accepted (or message does not name the migration path): %v", err)
+	}
+	for _, src := range []struct {
+		name string
+		mode pp.Mode
+		opts []pp.Option
+	}{
+		{"seq", pp.Sequential, nil},
+		{"tcp", pp.Distributed, []pp.Option{pp.WithProcs(2), pp.WithTCP()}},
+	} {
+		total = 0
+		eng := deployMig(t, &total, src.mode, append(src.opts,
+			pp.WithAdaptPolicy(pp.AdaptAt(2, pp.AdaptTarget{Mode: pp.Shared, Threads: 2})))...)
+		if err := eng.Run(); err != nil {
+			t.Fatalf("%s-source migration rejected: %v", src.name, err)
+		}
+		if rep := eng.Report(); rep.Migrations != 1 {
+			t.Fatalf("%s-source migration not applied: %+v", src.name, rep)
+		}
+		if total != want {
+			t.Fatalf("%s-source migration: total=%v want %v", src.name, total, want)
+		}
 	}
 }

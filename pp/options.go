@@ -26,13 +26,6 @@ func New(factory Factory, opts ...Option) (*Engine, error) {
 	return core.New(cfg, factory)
 }
 
-// NewFromConfig builds an engine from a raw Config — the pre-options entry
-// point, kept for callers that assemble configurations as data. New is the
-// primary API.
-func NewFromConfig(cfg Config, factory Factory) (*Engine, error) {
-	return core.New(cfg, factory)
-}
-
 // WithName identifies checkpoint snapshots and the run ledger; two runs
 // that must see each other's checkpoints need the same name (default
 // "app").
@@ -176,8 +169,8 @@ func WithDeltaCheckpoint(every uint64, compactEvery int) Option {
 }
 
 // WithAdaptPolicy consults p at every safe point to decide run-time
-// adaptations and checkpoint-and-stop. Repeated uses (and the sugar
-// WithAdaptAt/WithStopAt) chain; the first non-zero decision wins.
+// adaptations and checkpoint-and-stop: AdaptAt, StopAt, Schedule or any
+// PolicyFunc. Repeated uses chain; the first non-zero decision wins.
 func WithAdaptPolicy(p AdaptPolicy) Option {
 	return func(c *core.Config) {
 		if c.Policy == nil {
@@ -186,30 +179,6 @@ func WithAdaptPolicy(p AdaptPolicy) Option {
 		}
 		c.Policy = core.Policies(c.Policy, p)
 	}
-}
-
-// WithAdaptAt schedules one run-time adaptation at an absolute safe point —
-// sugar for WithAdaptPolicy(AdaptAt(sp, target)), so repeated uses chain.
-// A target with Mode set migrates the run to another deployment in-process
-// (see the package documentation); one without reshapes in place. An
-// in-place target the executor cannot honour (resizing a Sequential run, or
-// a Hybrid or TCP world) aborts the run with a descriptive error naming the
-// migration alternative when it fires. sp 0 is a no-op.
-func WithAdaptAt(sp uint64, target AdaptTarget) Option {
-	if sp == 0 {
-		return nil
-	}
-	return WithAdaptPolicy(core.AdaptAt(sp, target))
-}
-
-// WithStopAt takes a canonical checkpoint at the given safe point and stops
-// the run — the paper's adaptation by restart; sugar for
-// WithAdaptPolicy(StopAt(sp)), so repeated uses chain. sp 0 is a no-op.
-func WithStopAt(sp uint64) Option {
-	if sp == 0 {
-		return nil
-	}
-	return WithAdaptPolicy(core.StopAt(sp))
 }
 
 // WithAdaptNotify registers fn, invoked once per applied reshaping — an
@@ -221,14 +190,6 @@ func WithStopAt(sp uint64) Option {
 // a requested resize actually landed and give the freed budget away.
 func WithAdaptNotify(fn func(sp uint64, mode Mode, threads, procs int)) Option {
 	return func(c *core.Config) { c.OnAdapt = fn }
-}
-
-// WithAdaptManager attaches an external adaptation driver (such as
-// *AdaptManager, the simulated resource manager): it is started when the
-// run starts, feeds RequestAdapt/RequestStop asynchronously, and is stopped
-// when the run ends.
-func WithAdaptManager(d AdaptDriver) Option {
-	return func(c *core.Config) { c.Driver = d }
 }
 
 // WithFailureAt injects a process failure at the given safe point, on rank

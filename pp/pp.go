@@ -113,9 +113,11 @@
 // AdaptPolicy consulted at every safe point. Stock policies: AdaptAt
 // (reshape at a safe point), StopAt (checkpoint-and-stop at a safe point,
 // the paper's adaptation by restart), Schedule (a fixed sequence of
-// reshapings) and Policies (chaining). Asynchronous, wall-clock sources —
-// a resource manager granting or revoking nodes — use WithAdaptManager or
-// Engine.RequestAdapt / Engine.RequestStop instead. Decide sees
+// reshapings) and PolicyFunc (any pure function); repeated WithAdaptPolicy
+// options chain. Asynchronous, wall-clock sources — a resource manager
+// granting or revoking nodes — call Engine.RequestAdapt /
+// Engine.RequestStop instead, and WithAutoScale closes the loop
+// automatically. Decide sees
 // deterministic RunStats, including checkpoint cadence counters
 // (FullSaves/DeltaSaves/LastCheckpointSP) so a policy can, say, stop or
 // migrate exactly at a freshly checkpointed safe point.
@@ -134,7 +136,7 @@
 //
 //	eng, _ := pp.New(factory,
 //		pp.WithMode(pp.Shared), pp.WithThreads(8), pp.WithModules(mods...),
-//		pp.WithAdaptAt(50, pp.AdaptTarget{Mode: pp.Distributed, Procs: 4}),
+//		pp.WithAdaptPolicy(pp.AdaptAt(50, pp.AdaptTarget{Mode: pp.Distributed, Procs: 4})),
 //	)
 //	err := eng.Run() // starts on a thread team, finishes as 4 SPMD replicas
 //
@@ -147,7 +149,7 @@
 // restarts and is re-based (next periodic save is a full snapshot) under
 // the new executor — and with async/delta pipelines (the writer is drained
 // before the migration snapshot). Custom Store implementations are not
-// involved: migration uses an internal memory store. Report carries the
+// involved: migration hands the snapshot over in memory. Report carries the
 // cost split as Migrations and MigrationTotal.
 //
 // # Closed-loop elastic autoscaling
@@ -184,9 +186,6 @@
 // graceful checkpoint-and-stop at the next safe point, after which the run
 // returns *ErrStopped (wrapping the context cause) and a relaunched engine
 // — in any mode — replays from the snapshot.
-//
-// Callers that still hold a raw Config can use NewFromConfig, the
-// compatibility entry point; New with options is the primary API.
 package pp
 
 import (
@@ -204,9 +203,6 @@ type (
 	Factory = core.Factory
 	// Ctx is the execution context handed to the base program.
 	Ctx = core.Ctx
-	// Config assembles one deployment (legacy struct form; prefer the
-	// functional options of New).
-	Config = core.Config
 	// Engine executes one deployment.
 	Engine = core.Engine
 	// Module is one pluggable parallelisation/fault-tolerance module.

@@ -142,7 +142,7 @@ func TestPublicAPIFailureRecovery(t *testing.T) {
 func TestPublicAPIAdaptation(t *testing.T) {
 	want := run(t, pp.Sequential)
 	got := run(t, pp.Shared, pp.WithThreads(2),
-		pp.WithAdaptAt(3, pp.AdaptTarget{Threads: 4}))
+		pp.WithAdaptPolicy(pp.AdaptAt(3, pp.AdaptTarget{Threads: 4})))
 	if got != want {
 		t.Fatalf("adapted total=%v want %v", got, want)
 	}
@@ -172,17 +172,17 @@ func TestPublicAPIAdaptPolicy(t *testing.T) {
 }
 
 func TestChainedAdaptSugar(t *testing.T) {
-	// Repeated WithAdaptAt calls chain: both reshapings fire.
+	// Repeated WithAdaptPolicy options chain: both reshapings fire.
 	want := run(t, pp.Sequential)
 	var total float64
 	eng := deploy(t, &total, pp.Shared, pp.WithThreads(2),
-		pp.WithAdaptAt(2, pp.AdaptTarget{Threads: 4}),
-		pp.WithAdaptAt(4, pp.AdaptTarget{Threads: 2}))
+		pp.WithAdaptPolicy(pp.AdaptAt(2, pp.AdaptTarget{Threads: 4})),
+		pp.WithAdaptPolicy(pp.AdaptAt(4, pp.AdaptTarget{Threads: 2})))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !eng.Report().Adapted {
-		t.Fatal("chained WithAdaptAt did not adapt")
+		t.Fatal("chained WithAdaptPolicy did not adapt")
 	}
 	if total != want {
 		t.Fatalf("total=%v want %v", total, want)
@@ -198,6 +198,26 @@ func TestSequentialAdaptPolicyAbortsLoudly(t *testing.T) {
 	err := eng.Run()
 	if err == nil || !strings.Contains(err.Error(), "Sequential mode cannot adapt") {
 		t.Fatalf("want a loud Sequential-cannot-adapt error, got %v", err)
+	}
+}
+
+func TestPolicyStepAtZeroNeverFires(t *testing.T) {
+	// Safe points count from 1, so a scripted step at 0 is inert: neither
+	// the in-place resize Sequential mode would reject nor the stop fires.
+	want := run(t, pp.Sequential)
+	var total float64
+	eng := deploy(t, &total, pp.Sequential, pp.WithStore(pp.NewMemStore()),
+		pp.WithAdaptPolicy(pp.AdaptAt(0, pp.AdaptTarget{Threads: 4})),
+		pp.WithAdaptPolicy(pp.StopAt(0)),
+		pp.WithAdaptPolicy(pp.Schedule(pp.AdaptStep{At: 0, Target: pp.AdaptTarget{Stop: true}})))
+	if err := eng.Run(); err != nil {
+		t.Fatalf("a step at safe point 0 fired: %v", err)
+	}
+	if rep := eng.Report(); rep.Adapted || rep.Stopped {
+		t.Fatalf("a step at safe point 0 fired: %+v", rep)
+	}
+	if total != want {
+		t.Fatalf("total=%v want %v", total, want)
 	}
 }
 
@@ -227,27 +247,6 @@ func (a *sumApp) Main(ctx *pp.Ctx) {
 			*a.out = s
 		}
 	})
-}
-
-func TestNewFromConfigCompat(t *testing.T) {
-	// The pre-options entry point still assembles the same deployment.
-	var total float64
-	cfg := pp.Config{
-		AppName: "pp-counter", Mode: pp.Shared, Threads: 3,
-		Modules: modules(pp.Shared),
-	}
-	eng, err := pp.NewFromConfig(cfg, func() pp.App {
-		return &counter{Out: make([]float64, 120), Blocks: 6, total: &total}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if want := wantTotal(); total != want {
-		t.Fatalf("total=%v want %v", total, want)
-	}
 }
 
 func TestRunContextCancelStopsAndResumes(t *testing.T) {

@@ -45,7 +45,7 @@ func TestSchedChunksDeterministicAcrossRestart(t *testing.T) {
 	}
 
 	store := pp.NewMemStore()
-	leg1 := taskCounter(t, pp.WithStore(store), pp.WithCheckpointEvery(2), pp.WithStopAt(3))
+	leg1 := taskCounter(t, pp.WithStore(store), pp.WithCheckpointEvery(2), pp.WithAdaptPolicy(pp.StopAt(3)))
 	var stopped *pp.ErrStopped
 	if err := leg1.Run(); !errors.As(err, &stopped) {
 		t.Fatalf("first leg: %v, want checkpoint-and-stop", err)
@@ -59,7 +59,7 @@ func TestSchedChunksDeterministicAcrossRestart(t *testing.T) {
 	}
 
 	// The stop point is deterministic, so the frozen counter is too.
-	leg1b := taskCounter(t, pp.WithStore(pp.NewMemStore()), pp.WithCheckpointEvery(2), pp.WithStopAt(3))
+	leg1b := taskCounter(t, pp.WithStore(pp.NewMemStore()), pp.WithCheckpointEvery(2), pp.WithAdaptPolicy(pp.StopAt(3)))
 	if err := leg1b.Run(); !errors.As(err, &stopped) {
 		t.Fatalf("repeated first leg: %v, want checkpoint-and-stop", err)
 	}
@@ -85,14 +85,14 @@ func TestSchedChunksDeterministicAcrossRestart(t *testing.T) {
 // adds nothing. The autoscaler reads this as "queue pressure up to the
 // move", never a mixed-mode hybrid number.
 func TestSchedChunksFreezeAtMigration(t *testing.T) {
-	leg := taskCounter(t, pp.WithStore(pp.NewMemStore()), pp.WithCheckpointEvery(2), pp.WithStopAt(3))
+	leg := taskCounter(t, pp.WithStore(pp.NewMemStore()), pp.WithCheckpointEvery(2), pp.WithAdaptPolicy(pp.StopAt(3)))
 	var stopped *pp.ErrStopped
 	if err := leg.Run(); !errors.As(err, &stopped) {
 		t.Fatalf("stop leg: %v, want checkpoint-and-stop", err)
 	}
 	atStop := leg.Report().TaskChunks
 
-	mig := taskCounter(t, pp.WithAdaptAt(3, pp.AdaptTarget{Mode: pp.Shared, Threads: 2}))
+	mig := taskCounter(t, pp.WithAdaptPolicy(pp.AdaptAt(3, pp.AdaptTarget{Mode: pp.Shared, Threads: 2})))
 	if err := mig.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -210,7 +210,7 @@ func TestShardResizeRoundTrip(t *testing.T) {
 	var total float64
 
 	eng := deploy(t, &total, pp.Shared, pp.WithThreads(8),
-		pp.WithStore(store), pp.WithCheckpointEvery(2), pp.WithStopAt(3))
+		pp.WithStore(store), pp.WithCheckpointEvery(2), pp.WithAdaptPolicy(pp.StopAt(3)))
 	var stopped *pp.ErrStopped
 	if err := eng.Run(); !errors.As(err, &stopped) {
 		t.Fatalf("smp leg: %v, want ErrStopped", err)
@@ -254,7 +254,7 @@ func TestShardMigrationInProcess(t *testing.T) {
 	eng := deploy(t, &total, pp.Distributed, pp.WithProcs(3),
 		pp.WithStore(store), pp.WithShardCheckpoints(),
 		pp.WithDeltaCheckpoint(1, 2), pp.WithAsyncCheckpoint(),
-		pp.WithAdaptAt(3, pp.AdaptTarget{Mode: pp.Shared, Threads: 2}))
+		pp.WithAdaptPolicy(pp.AdaptAt(3, pp.AdaptTarget{Mode: pp.Shared, Threads: 2})))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

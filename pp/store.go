@@ -69,10 +69,6 @@ func NamespacedStore(prefix string, inner Store) (Store, error) {
 // in place.
 func NewGzipStore(inner Store) Store { return ckpt.NewGzip(inner, 0) }
 
-// NewGzipStoreLevel is NewGzipStore with an explicit gzip compression level
-// (gzip.BestSpeed..gzip.BestCompression; 0 selects the default).
-func NewGzipStoreLevel(inner Store, level int) Store { return ckpt.NewGzip(inner, level) }
-
 // DedupStore wraps any Store with content-addressed deduplication: large
 // float fields are split on the delta differ's fixed chunk grid and each
 // distinct chunk content is stored once via the inner store's PutChunk,

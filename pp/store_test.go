@@ -89,7 +89,7 @@ func TestCrossModeRestartThroughStores(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var total float64
 			eng := deploy(t, &total, pp.Shared, pp.WithThreads(2),
-				pp.WithStore(store), pp.WithStopAt(3))
+				pp.WithStore(store), pp.WithAdaptPolicy(pp.StopAt(3)))
 			err := eng.Run()
 			var stopped *pp.ErrStopped
 			if !errors.As(err, &stopped) {

@@ -109,7 +109,7 @@ func TestTaskWorldResizeAbortsLoudly(t *testing.T) {
 func TestTaskThreadAdaptation(t *testing.T) {
 	want := run(t, pp.Sequential)
 	got := run(t, pp.Task, pp.WithProcs(2), pp.WithThreads(2),
-		pp.WithAdaptAt(3, pp.AdaptTarget{Threads: 4}))
+		pp.WithAdaptPolicy(pp.AdaptAt(3, pp.AdaptTarget{Threads: 4})))
 	if got != want {
 		t.Fatalf("adapted total=%v want %v", got, want)
 	}
@@ -130,7 +130,7 @@ func TestTaskThreadAdaptationIgnorableReplay(t *testing.T) {
 		pp.WithName("pp-task-sor"), pp.WithMode(pp.Task),
 		pp.WithThreads(2), pp.WithOverdecompose(8),
 		pp.WithModules(jgf.SORModules(pp.Task)...),
-		pp.WithAdaptAt(5, pp.AdaptTarget{Threads: 4}))
+		pp.WithAdaptPolicy(pp.AdaptAt(5, pp.AdaptTarget{Threads: 4})))
 	if err != nil {
 		t.Fatal(err)
 	}
