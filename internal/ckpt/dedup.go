@@ -3,6 +3,7 @@ package ckpt
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -37,12 +38,13 @@ const (
 // shard pipeline follows): chunks are put BEFORE the envelope that
 // references them is saved, and references are released only AFTER the
 // referencing artifact has been cleared. A crash anywhere in between leaks
-// unreferenced chunks — reclaimable by a later put of the same content or
-// an offline sweep — but can never persist a dangling reference.
+// unreferenced chunks but can never persist a dangling reference.
 //
 // The reference ledger is process-local: a Dedup created in a fresh
-// process over an existing store keeps every pre-existing chunk alive
-// (leak-safe), and starts tracking from its first save.
+// process over an existing store starts tracking from its first save and
+// never releases a reference an earlier process took. The FS store pins
+// every chunk it finds already on disk, so such chunks stay for good;
+// nothing yet reclaims chunks that only dead processes referenced.
 //
 // Compose Dedup outermost (e.g. Dedup(Gzip(FS))): wrappers that envelope
 // the whole artifact would otherwise hide the float payloads from the
@@ -188,10 +190,10 @@ func (s *Dedup) dehydrateSnap(snap *serial.Snapshot) (*serial.Snapshot, []string
 	var scratch []byte
 	for _, name := range names {
 		v := snap.Fields[name]
-		var blob strings.Builder
+		var blob []byte
 		switch v.Tag {
 		case serial.TFloat64s:
-			fmt.Fprintf(&blob, "s %d\n", len(v.Fs))
+			blob = appendRef(nil, "s", "", len(v.Fs))
 			for off := 0; off < len(v.Fs); off += serial.DeltaChunkElems {
 				end := off + serial.DeltaChunkElems
 				if end > len(v.Fs) {
@@ -203,10 +205,10 @@ func (s *Dedup) dehydrateSnap(snap *serial.Snapshot) (*serial.Snapshot, []string
 					return nil, keys, err
 				}
 				keys = append(keys, key)
-				fmt.Fprintf(&blob, "%s\n", key)
+				blob = appendRef(blob, "", key)
 			}
 		case serial.TFloat64_2:
-			fmt.Fprintf(&blob, "m %d %d\n", v.Rows, v.Cols)
+			blob = appendRef(nil, "m", "", v.Rows, v.Cols)
 			per := gridRows(v.Cols)
 			for r := 0; r < v.Rows; r += per {
 				end := r + per
@@ -222,11 +224,11 @@ func (s *Dedup) dehydrateSnap(snap *serial.Snapshot) (*serial.Snapshot, []string
 					return nil, keys, err
 				}
 				keys = append(keys, key)
-				fmt.Fprintf(&blob, "%s\n", key)
+				blob = appendRef(blob, "", key)
 			}
 		}
 		delete(env.Fields, name)
-		env.Fields[casFieldPrefix+name] = serial.Bytes([]byte(blob.String()))
+		env.Fields[casFieldPrefix+name] = serial.Bytes(blob)
 	}
 	return env, keys, nil
 }
@@ -262,18 +264,17 @@ func (s *Dedup) rehydrateSnap(env *serial.Snapshot) (*serial.Snapshot, error) {
 
 // rehydrateField rebuilds one whole field from its reference blob.
 func (s *Dedup) rehydrateField(name, blob string) (serial.Value, error) {
-	lines := splitRefLines(blob)
-	if len(lines) == 0 {
-		return serial.Value{}, fmt.Errorf("ckpt: dedup: empty reference for field %q", name)
-	}
-	switch {
-	case strings.HasPrefix(lines[0], "s "):
+	kind, args, lines := cutRefHeader(blob)
+	switch kind {
+	case "s":
 		var n int
-		if _, err := fmt.Sscanf(lines[0], "s %d", &n); err != nil || n < 0 {
+		if rest, ok := cutInts(args, &n); !ok || rest != "" || n < 0 {
 			return serial.Value{}, fmt.Errorf("ckpt: dedup: bad slice reference for %q", name)
 		}
 		full := make([]float64, n)
-		for i, key := range lines[1:] {
+		for i := 0; lines != ""; i++ {
+			var key string
+			key, lines, _ = strings.Cut(lines, "\n")
 			off := i * serial.DeltaChunkElems
 			data, err := s.chunkF64s(name, key)
 			if err != nil {
@@ -285,14 +286,16 @@ func (s *Dedup) rehydrateField(name, blob string) (serial.Value, error) {
 			copy(full[off:], data)
 		}
 		return serial.Float64s(full), nil
-	case strings.HasPrefix(lines[0], "m "):
+	case "m":
 		var rows, cols int
-		if _, err := fmt.Sscanf(lines[0], "m %d %d", &rows, &cols); err != nil || rows < 0 || cols < 1 {
+		if rest, ok := cutInts(args, &rows, &cols); !ok || rest != "" || rows < 0 || cols < 1 {
 			return serial.Value{}, fmt.Errorf("ckpt: dedup: bad matrix reference for %q", name)
 		}
 		m := make([][]float64, rows)
 		per := gridRows(cols)
-		for i, key := range lines[1:] {
+		for i := 0; lines != ""; i++ {
+			var key string
+			key, lines, _ = strings.Cut(lines, "\n")
 			r := i * per
 			data, err := s.chunkF64s(name, key)
 			if err != nil {
@@ -329,12 +332,47 @@ func (s *Dedup) chunkF64s(name, key string) ([]float64, error) {
 	return serial.UnpackF64s(payload)
 }
 
-func splitRefLines(blob string) []string {
-	lines := strings.Split(strings.TrimRight(blob, "\n"), "\n")
-	if len(lines) == 1 && lines[0] == "" {
-		return nil
+// appendRef appends one line of a reference blob: kind, the decimal
+// numbers and key, separated by single spaces (empty kind or key omitted).
+func appendRef(b []byte, kind, key string, nums ...int) []byte {
+	start := len(b)
+	b = append(b, kind...)
+	for _, n := range nums {
+		if len(b) > start {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
 	}
-	return lines
+	if key != "" {
+		if len(b) > start {
+			b = append(b, ' ')
+		}
+		b = append(b, key...)
+	}
+	return append(b, '\n')
+}
+
+// cutRefHeader splits a reference blob into the kind and arguments of its
+// header line and the newline-terminated lines that follow.
+func cutRefHeader(blob string) (kind, args, lines string) {
+	header, lines, _ := strings.Cut(blob, "\n")
+	kind, args, _ = strings.Cut(header, " ")
+	return kind, args, lines
+}
+
+// cutInts parses len(nums) space-separated decimals from the front of s and
+// returns what follows the last one's separator.
+func cutInts(s string, nums ...*int) (string, bool) {
+	for _, p := range nums {
+		var tok string
+		tok, s, _ = strings.Cut(s, " ")
+		n, err := strconv.Atoi(tok)
+		if err != nil {
+			return "", false
+		}
+		*p = n
+	}
+	return s, true
 }
 
 // dehydrateDelta replaces a delta's chunkable whole-field replacements and
@@ -383,8 +421,7 @@ func (s *Dedup) dehydrateDelta(d *serial.Delta) (*serial.Delta, []string, error)
 	}
 	for _, name := range sortedKeysOf(d.Slices) {
 		sd := d.Slices[name]
-		var blob strings.Builder
-		fmt.Fprintf(&blob, "S %d\n", sd.Len)
+		blob := appendRef(nil, "S", "", sd.Len)
 		for _, c := range sd.Chunks {
 			scratch = serial.PackF64s(scratch[:0], c.Data)
 			key, err := s.putChunk(scratch)
@@ -392,14 +429,13 @@ func (s *Dedup) dehydrateDelta(d *serial.Delta) (*serial.Delta, []string, error)
 				return nil, keys, err
 			}
 			keys = append(keys, key)
-			fmt.Fprintf(&blob, "%d %d %s\n", c.Off, len(c.Data), key)
+			blob = appendRef(blob, "", key, c.Off, len(c.Data))
 		}
-		env.Full[casDeltaPrefix+name] = serial.Bytes([]byte(blob.String()))
+		env.Full[casDeltaPrefix+name] = serial.Bytes(blob)
 	}
 	for _, name := range sortedKeysOf(d.Matrices) {
 		md := d.Matrices[name]
-		var blob strings.Builder
-		fmt.Fprintf(&blob, "M %d %d\n", md.Rows, md.Cols)
+		blob := appendRef(nil, "M", "", md.Rows, md.Cols)
 		for _, c := range md.Chunks {
 			scratch = scratch[:0]
 			for _, row := range c.Rows {
@@ -410,9 +446,9 @@ func (s *Dedup) dehydrateDelta(d *serial.Delta) (*serial.Delta, []string, error)
 				return nil, keys, err
 			}
 			keys = append(keys, key)
-			fmt.Fprintf(&blob, "%d %d %s\n", c.Row, len(c.Rows), key)
+			blob = appendRef(blob, "", key, c.Row, len(c.Rows))
 		}
-		env.Full[casDeltaPrefix+name] = serial.Bytes([]byte(blob.String()))
+		env.Full[casDeltaPrefix+name] = serial.Bytes(blob)
 	}
 	return env, keys, nil
 }
@@ -465,21 +501,20 @@ func (s *Dedup) rehydrateDelta(env *serial.Delta) (*serial.Delta, error) {
 
 // rehydrateSection rebuilds one chunked slice or matrix delta section.
 func (s *Dedup) rehydrateSection(d *serial.Delta, name, blob string) error {
-	lines := splitRefLines(blob)
-	if len(lines) == 0 {
-		return fmt.Errorf("ckpt: dedup: empty section reference for %q", name)
-	}
-	switch {
-	case strings.HasPrefix(lines[0], "S "):
+	kind, args, lines := cutRefHeader(blob)
+	switch kind {
+	case "S":
 		var n int
-		if _, err := fmt.Sscanf(lines[0], "S %d", &n); err != nil || n < 0 {
+		if rest, ok := cutInts(args, &n); !ok || rest != "" || n < 0 {
 			return fmt.Errorf("ckpt: dedup: bad slice section reference for %q", name)
 		}
 		sd := serial.SliceDelta{Len: n}
-		for _, line := range lines[1:] {
+		for lines != "" {
+			var line string
+			line, lines, _ = strings.Cut(lines, "\n")
 			var off, count int
-			var key string
-			if _, err := fmt.Sscanf(line, "%d %d %s", &off, &count, &key); err != nil {
+			key, ok := cutInts(line, &off, &count)
+			if !ok || key == "" {
 				return fmt.Errorf("ckpt: dedup: bad slice chunk reference for %q", name)
 			}
 			data, err := s.chunkF64s(name, key)
@@ -492,16 +527,18 @@ func (s *Dedup) rehydrateSection(d *serial.Delta, name, blob string) error {
 			sd.Chunks = append(sd.Chunks, serial.SliceChunk{Off: off, Data: data})
 		}
 		d.Slices[name] = sd
-	case strings.HasPrefix(lines[0], "M "):
+	case "M":
 		var rows, cols int
-		if _, err := fmt.Sscanf(lines[0], "M %d %d", &rows, &cols); err != nil || rows < 0 || cols < 1 {
+		if rest, ok := cutInts(args, &rows, &cols); !ok || rest != "" || rows < 0 || cols < 1 {
 			return fmt.Errorf("ckpt: dedup: bad matrix section reference for %q", name)
 		}
 		md := serial.MatrixDelta{Rows: rows, Cols: cols}
-		for _, line := range lines[1:] {
+		for lines != "" {
+			var line string
+			line, lines, _ = strings.Cut(lines, "\n")
 			var row, nrows int
-			var key string
-			if _, err := fmt.Sscanf(line, "%d %d %s", &row, &nrows, &key); err != nil {
+			key, ok := cutInts(line, &row, &nrows)
+			if !ok || key == "" {
 				return fmt.Errorf("ckpt: dedup: bad row chunk reference for %q", name)
 			}
 			data, err := s.chunkF64s(name, key)

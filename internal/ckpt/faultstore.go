@@ -79,38 +79,31 @@ func (e *ErrInjectedFault) Error() string {
 	return fmt.Sprintf("ckpt: injected fault: %s call %d failed", e.Op, e.N)
 }
 
-// FaultStore is a Store for fault-injection tests: it keeps snapshots
-// in-memory in their encoded container form (so every load exercises the
-// real decode path) and can fail the Nth call of any operation class with
-// an injected error, or simulate a TORN WRITE on the Nth save — the write
-// "succeeds" but persists only a truncated prefix of the container, the
-// way a crash mid-write without atomic rename would. Torn snapshots and
-// deltas must be detected at load time by the container checksums and, for
-// deltas, truncate the chain at the damaged link rather than half-applying
-// it — the invariant the checkpoint path's crash-safety tests pin down.
+// FaultStore is a Store for fault-injection tests: an in-memory Mem store
+// (so every load exercises the real decode path) that can fail the Nth
+// call of any operation class with an injected error, or simulate a TORN
+// WRITE on the Nth save — the write "succeeds" but persists only a
+// truncated prefix of the container, the way a crash mid-write without
+// atomic rename would. Torn snapshots and deltas must be detected at load
+// time by the container checksums and, for deltas, truncate the chain at
+// the damaged link rather than half-applying it — the invariant the
+// checkpoint path's crash-safety tests pin down.
 //
 // Counters are 1-based: Arm(OpSave, 2, ...) fails the second Save. A
 // FaultStore is safe for concurrent use, like any Store.
 type FaultStore struct {
-	mu        sync.Mutex
-	blobs     map[string][]byte
-	running   map[string]bool
-	chunks    map[string][]byte
-	chunkRefs map[string]int
-	counts    [numFaultOps]int
-	failAt    [numFaultOps]int
-	tearAt    [numFaultOps]int
+	mem *Mem
+
+	mu     sync.Mutex // guards the counters
+	counts [numFaultOps]int
+	failAt [numFaultOps]int
+	tearAt [numFaultOps]int
 }
 
 var _ Store = (*FaultStore)(nil)
 
 // NewFault creates an empty FaultStore with no faults armed.
-func NewFault() *FaultStore {
-	return &FaultStore{
-		blobs: map[string][]byte{}, running: map[string]bool{},
-		chunks: map[string][]byte{}, chunkRefs: map[string]int{},
-	}
-}
+func NewFault() *FaultStore { return &FaultStore{mem: NewMem()} }
 
 // Arm makes the Nth call (1-based, counted from now) of op fail with an
 // *ErrInjectedFault. Arming with n <= 0 disarms the class.
@@ -153,6 +146,8 @@ func (s *FaultStore) Ops(op FaultOp) int {
 
 // step counts one call of op and reports whether it must fail or tear.
 func (s *FaultStore) step(op FaultOp) (fail error, tear bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.counts[op]++
 	if s.failAt[op] == s.counts[op] {
 		return &ErrInjectedFault{Op: op, N: s.counts[op]}, false
@@ -160,13 +155,17 @@ func (s *FaultStore) step(op FaultOp) (fail error, tear bool) {
 	return nil, s.tearAt[op] == s.counts[op]
 }
 
+// fail counts one call of op and reports its injected fault, if any.
+func (s *FaultStore) fail(op FaultOp) error {
+	err, _ := s.step(op)
+	return err
+}
+
 func (s *FaultStore) putBlob(op FaultOp, key string, encode func(io.Writer) error) error {
 	var buf bytes.Buffer
 	if err := encode(&buf); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	fail, tear := s.step(op)
 	if fail != nil {
 		return fail
@@ -175,7 +174,9 @@ func (s *FaultStore) putBlob(op FaultOp, key string, encode func(io.Writer) erro
 	if tear {
 		blob = blob[:len(blob)/2]
 	}
-	s.blobs[key] = blob
+	s.mem.mu.Lock()
+	defer s.mem.mu.Unlock()
+	s.mem.blobs[key] = blob
 	return nil
 }
 
@@ -215,150 +216,72 @@ func (s *FaultStore) SaveManifest(m *serial.Manifest) error {
 	return s.putBlob(OpSaveManifest, m.App+".manifest.ckpt", m.Encode)
 }
 
-// LoadShardDelta reads one shard-chain link (subject to OpLoadShardDelta
-// faults); a torn link reports found=true with the decode error.
-func (s *FaultStore) LoadShardDelta(app string, rank int, seq uint64) (*serial.Delta, bool, error) {
-	blob, ok, err := s.getBlob(OpLoadShardDelta, memShardDeltaKey(app, rank, seq))
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	d, err := serial.DecodeDelta(bytes.NewReader(blob))
-	if err != nil {
-		return nil, true, fmt.Errorf("ckpt: decode %s: %w", memShardDeltaKey(app, rank, seq), err)
-	}
-	return d, true, nil
-}
-
-// LoadManifest reads the commit record (subject to OpLoadManifest faults).
-func (s *FaultStore) LoadManifest(app string) (*serial.Manifest, bool, error) {
-	blob, ok, err := s.getBlob(OpLoadManifest, app+".manifest.ckpt")
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	m, err := serial.DecodeManifest(bytes.NewReader(blob))
-	if err != nil {
-		return nil, true, fmt.Errorf("ckpt: decode %s: %w", app+".manifest.ckpt", err)
-	}
-	return m, true, nil
-}
-
-// ClearShardDeltas removes rank's chain links below the bound (subject to
-// OpClearShardDeltas faults — the post-commit GC window, where a crash must
-// only ever leave stale links the manifest no longer references).
-func (s *FaultStore) ClearShardDeltas(app string, rank int, below uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fail, _ := s.step(OpClearShardDeltas); fail != nil {
-		return fail
-	}
-	for k := range s.blobs {
-		if seq, ok := shardChainSeq(k, app, rank); ok && (below == 0 || seq < below) {
-			delete(s.blobs, k)
-		}
-	}
-	return nil
-}
-
-func (s *FaultStore) getBlob(op FaultOp, key string) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fail, _ := s.step(op); fail != nil {
-		return nil, false, fail
-	}
-	blob, ok := s.blobs[key]
-	return blob, ok, nil
-}
-
 // Load reads the canonical snapshot (subject to OpLoad faults). A torn
 // snapshot reports found=true with the decode error, matching FS.
 func (s *FaultStore) Load(app string) (*serial.Snapshot, bool, error) {
-	blob, ok, err := s.getBlob(OpLoad, memKey(app, -1))
-	if err != nil || !ok {
+	if err := s.fail(OpLoad); err != nil {
 		return nil, false, err
 	}
-	snap, err := serial.Decode(bytes.NewReader(blob))
-	if err != nil {
-		return nil, true, fmt.Errorf("ckpt: decode %s: %w", memKey(app, -1), err)
-	}
-	return snap, true, nil
+	return s.mem.Load(app)
 }
 
 // LoadShard reads rank's snapshot (subject to OpLoadShard faults).
 func (s *FaultStore) LoadShard(app string, rank int) (*serial.Snapshot, bool, error) {
-	blob, ok, err := s.getBlob(OpLoadShard, memKey(app, rank))
-	if err != nil || !ok {
+	if err := s.fail(OpLoadShard); err != nil {
 		return nil, false, err
 	}
-	snap, err := serial.Decode(bytes.NewReader(blob))
-	if err != nil {
-		return nil, true, fmt.Errorf("ckpt: decode %s: %w", memKey(app, rank), err)
-	}
-	return snap, true, nil
+	return s.mem.LoadShard(app, rank)
 }
 
 // LoadChain reads the canonical snapshot plus the longest consistent
 // prefix of its delta chain (subject to OpLoadChain faults); torn links
 // truncate the chain exactly as they do in the stock stores.
 func (s *FaultStore) LoadChain(app string) (*serial.Snapshot, []*serial.Delta, bool, error) {
-	s.mu.Lock()
-	fail, _ := s.step(OpLoadChain)
-	baseBlob, ok := s.blobs[memKey(app, -1)]
-	s.mu.Unlock()
-	if fail != nil {
-		return nil, nil, false, fail
+	if err := s.fail(OpLoadChain); err != nil {
+		return nil, nil, false, err
 	}
-	if !ok {
-		return nil, nil, false, nil
+	return s.mem.LoadChain(app)
+}
+
+// LoadShardDelta reads one shard-chain link (subject to OpLoadShardDelta
+// faults); a torn link reports found=true with the decode error.
+func (s *FaultStore) LoadShardDelta(app string, rank int, seq uint64) (*serial.Delta, bool, error) {
+	if err := s.fail(OpLoadShardDelta); err != nil {
+		return nil, false, err
 	}
-	base, err := serial.Decode(bytes.NewReader(baseBlob))
-	if err != nil {
-		return nil, nil, true, fmt.Errorf("ckpt: decode %s: %w", memKey(app, -1), err)
+	return s.mem.LoadShardDelta(app, rank, seq)
+}
+
+// LoadManifest reads the commit record (subject to OpLoadManifest faults).
+func (s *FaultStore) LoadManifest(app string) (*serial.Manifest, bool, error) {
+	if err := s.fail(OpLoadManifest); err != nil {
+		return nil, false, err
 	}
-	var deltas []*serial.Delta
-	for seq := uint64(1); ; seq++ {
-		s.mu.Lock()
-		blob, ok := s.blobs[memDeltaKey(app, seq)]
-		s.mu.Unlock()
-		if !ok {
-			break
-		}
-		d, derr := serial.DecodeDelta(bytes.NewReader(blob))
-		if derr != nil || !chainLink(base, d, seq) {
-			break
-		}
-		deltas = append(deltas, d)
-	}
-	return base, deltas, true, nil
+	return s.mem.LoadManifest(app)
 }
 
 // Clear removes all snapshots for app (never faulted: tests use it for
 // setup, not as part of the exercised path).
-func (s *FaultStore) Clear(app string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k := range s.blobs {
-		if ownedName(k, app) {
-			delete(s.blobs, k)
-		}
-	}
-	return nil
-}
+func (s *FaultStore) Clear(app string) error { return s.mem.Clear(app) }
 
 // ClearDeltas removes app's delta chain (subject to OpClearDeltas faults —
 // a compaction that persists its new base and then fails to GC the old
 // chain is exactly the crash window LoadChain's staleness rules cover).
 func (s *FaultStore) ClearDeltas(app string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fail, _ := s.step(OpClearDeltas); fail != nil {
-		return fail
+	if err := s.fail(OpClearDeltas); err != nil {
+		return err
 	}
-	for k := range s.blobs {
-		if isSeqFile(k, app, 'd') {
-			delete(s.blobs, k)
-		}
+	return s.mem.ClearDeltas(app)
+}
+
+// ClearShardDeltas removes rank's chain links below the bound (subject to
+// OpClearShardDeltas faults — the post-commit GC window, where a crash must
+// only ever leave stale links the manifest no longer references).
+func (s *FaultStore) ClearShardDeltas(app string, rank int, below uint64) error {
+	if err := s.fail(OpClearShardDeltas); err != nil {
+		return err
 	}
-	return nil
+	return s.mem.ClearShardDeltas(app, rank, below)
 }
 
 // PutChunk stores (or refcounts) one content-addressed chunk, subject to
@@ -367,76 +290,39 @@ func (s *FaultStore) ClearDeltas(app string) error {
 // persists only half the payload, the way a crash mid-chunk-write without
 // atomic rename would.
 func (s *FaultStore) PutChunk(key string, payload []byte) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	fail, tear := s.step(OpPutChunk)
 	if fail != nil {
 		return false, fail
 	}
-	if _, ok := s.chunks[key]; ok {
-		s.chunkRefs[key]++
-		return true, nil
-	}
-	blob := append([]byte(nil), payload...)
 	if tear {
-		blob = blob[:len(blob)/2]
+		payload = payload[:len(payload)/2]
 	}
-	s.chunks[key] = blob
-	s.chunkRefs[key] = 1
-	return false, nil
+	return s.mem.PutChunk(key, payload)
 }
 
 // GetChunk reads one chunk payload (subject to OpGetChunk faults).
 func (s *FaultStore) GetChunk(key string) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fail, _ := s.step(OpGetChunk); fail != nil {
-		return nil, false, fail
+	if err := s.fail(OpGetChunk); err != nil {
+		return nil, false, err
 	}
-	b, ok := s.chunks[key]
-	return b, ok, nil
+	return s.mem.GetChunk(key)
 }
 
 // ReleaseChunks drops references (subject to OpReleaseChunks faults — the
 // clear-before-release GC window, where a crash must only ever leak chunks,
 // never dangle a reference).
 func (s *FaultStore) ReleaseChunks(keys []string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fail, _ := s.step(OpReleaseChunks); fail != nil {
-		return fail
+	if err := s.fail(OpReleaseChunks); err != nil {
+		return err
 	}
-	for _, key := range keys {
-		if _, ok := s.chunks[key]; !ok {
-			continue
-		}
-		if s.chunkRefs[key]--; s.chunkRefs[key] <= 0 {
-			delete(s.chunks, key)
-			delete(s.chunkRefs, key)
-		}
-	}
-	return nil
+	return s.mem.ReleaseChunks(keys)
 }
 
 // LedgerStart marks the run as in progress.
-func (s *FaultStore) LedgerStart(app string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.running[app] = true
-	return nil
-}
+func (s *FaultStore) LedgerStart(app string) error { return s.mem.LedgerStart(app) }
 
 // LedgerFinish marks the run as cleanly completed.
-func (s *FaultStore) LedgerFinish(app string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.running, app)
-	return nil
-}
+func (s *FaultStore) LedgerFinish(app string) error { return s.mem.LedgerFinish(app) }
 
 // Crashed reports whether a run was started and never finished.
-func (s *FaultStore) Crashed(app string) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.running[app], nil
-}
+func (s *FaultStore) Crashed(app string) (bool, error) { return s.mem.Crashed(app) }

@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"ppar/internal/serial"
 )
@@ -101,7 +102,9 @@ type Store interface {
 	// tenants are stored once. Implementations must not retain payload
 	// after the call returns. Callers must put every chunk BEFORE saving an
 	// artifact that references it, so a crash can only ever leak an
-	// unreferenced chunk, never persist a dangling reference.
+	// unreferenced chunk, never persist a dangling reference. Counts need
+	// not persist across processes: a chunk already stored when a process
+	// first puts it may be kept for good (FS pins it) rather than counted.
 	PutChunk(key string, payload []byte) (dup bool, err error)
 	// GetChunk reads one chunk payload. found=false with nil error means no
 	// chunk with the key exists.
@@ -111,7 +114,8 @@ type Store interface {
 	// the last artifact referencing the chunks has been cleared (mirroring
 	// the manifest-then-GC ordering of the shard chains): a crash between
 	// the two leaks chunks rather than dangling references. Releasing an
-	// unknown key is not an error (a leaked chunk may already be gone).
+	// unknown key is not an error (a leaked chunk may already be gone), and
+	// a release only drops references taken in the same process.
 	ReleaseChunks(keys []string) error
 
 	// LedgerStart marks a run of app as in progress (the pcr module).
@@ -126,15 +130,14 @@ type Store interface {
 // FS is the filesystem Store: one file per snapshot inside Dir, with
 // write-to-temp-then-rename atomicity so a failure during checkpointing
 // never destroys the previous valid checkpoint. The ledger is a marker
-// file created at LedgerStart and removed at LedgerFinish.
+// file created at LedgerStart and removed at LedgerFinish. Create it with
+// NewFS.
 type FS struct {
 	Dir string
 
-	// casMu serialises the read-modify-write of chunk reference counts.
-	// Chunk bookkeeping assumes one *FS value per directory per process,
-	// the same single-writer discipline every other artifact already
-	// relies on.
-	casMu sync.Mutex
+	// cas is the chunk reference table of Dir, shared by every FS over
+	// the same directory in this process.
+	cas *casTable
 }
 
 var _ Store = (*FS)(nil)
@@ -144,7 +147,11 @@ func NewFS(dir string) (*FS, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ckpt: creating store dir: %w", err)
 	}
-	return &FS{Dir: dir}, nil
+	cas, err := casTableFor(dir)
+	if err != nil {
+		return nil, err
+	}
+	return &FS{Dir: dir, cas: cas}, nil
 }
 
 func (s *FS) path(app string, shard int) string {
@@ -190,50 +197,56 @@ func (s *FS) SaveDelta(d *serial.Delta) error {
 	return s.writeAtomic(s.deltaPath(d.App, d.Seq), d.Encode)
 }
 
+// writeAtomic commits one artifact: a synced temp file renamed over final,
+// then a directory sync that makes the rename durable. Chunks an artifact
+// references must land before it, so the directory is also synced before
+// the rename whenever a chunk rename is not yet covered by a completed
+// directory sync: one extra sync per artifact instead of one per chunk.
 func (s *FS) writeAtomic(final string, encode func(io.Writer) error) error {
+	return s.commit(final, encode, false)
+}
+
+// commit writes encode's output to a synced temp file and renames it over
+// final. Chunk commits stop there; the caller counts the rename.
+func (s *FS) commit(final string, encode func(io.Writer) error, chunk bool) (err error) {
 	tmp, err := os.CreateTemp(s.Dir, ".ckpt-*")
 	if err != nil {
 		return fmt.Errorf("ckpt: temp file: %w", err)
 	}
-	defer os.Remove(tmp.Name())
+	defer func() {
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
+	}()
 	if err := encode(tmp); err != nil {
 		tmp.Close()
 		return fmt.Errorf("ckpt: encoding snapshot: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
+	if err := s.cas.fsync(tmp); err != nil {
 		tmp.Close()
 		return fmt.Errorf("ckpt: sync: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("ckpt: close: %w", err)
 	}
+	if !chunk {
+		if err := s.cas.syncDir(s.Dir, false); err != nil {
+			return fmt.Errorf("ckpt: sync dir: %w", err)
+		}
+	}
 	if err := os.Rename(tmp.Name(), final); err != nil {
 		return fmt.Errorf("ckpt: rename: %w", err)
+	}
+	if chunk {
+		return nil
 	}
 	// The rename is only durable once the directory entry itself is on
 	// disk: without the parent fsync a power failure can lose the
 	// just-renamed checkpoint even though the data blocks were synced.
-	if err := syncDir(s.Dir); err != nil {
+	if err := s.cas.syncDir(s.Dir, true); err != nil {
 		return fmt.Errorf("ckpt: sync dir: %w", err)
 	}
 	return nil
-}
-
-func syncDir(dir string) error {
-	if runtime.GOOS == "windows" {
-		// Directory handles cannot be fsynced on Windows; the rename
-		// itself is the best durability available there.
-		return nil
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Load reads the canonical snapshot for app.
@@ -486,65 +499,128 @@ func (s *FS) Crashed(app string) (bool, error) {
 	return false, fmt.Errorf("ckpt: ledger stat: %w", err)
 }
 
-// Chunk files live beside the checkpoint artifacts as cas-<key>.chunk with
-// a cas-<key>.ref sidecar holding the decimal reference count. Neither name
-// ends in ".ckpt", so Clear and the exact-name matchers never touch them:
-// chunks are shared across applications (and tenants) and are reclaimed
-// only by explicit ReleaseChunks calls from the layer that tracks the
-// references.
+// Chunk files live beside the checkpoint artifacts as cas-<key>.chunk.
+// The name does not end in ".ckpt", so Clear and the exact-name matchers
+// never touch them: chunks are shared across applications (and tenants)
+// and are reclaimed only by ReleaseChunks. Reference counts live in the
+// directory's casTable, in memory; cas-<key>.ref sidecars written by older
+// versions are ignored.
 func (s *FS) chunkPath(key string) string {
 	return filepath.Join(s.Dir, "cas-"+key+".chunk")
 }
 
-func (s *FS) refPath(key string) string {
-	return filepath.Join(s.Dir, "cas-"+key+".ref")
+// casTable is the chunk reference table of one store directory. refs
+// counts the references taken in this process, or holds pinned for a chunk
+// that was already on disk when first put here (an earlier process wrote
+// it and may still reference it), which this process never deletes.
+// renames counts chunk renames, and synced is the value renames had when
+// the last completed directory sync started: renames > synced means a
+// chunk rename may not be durable yet. Every file and directory sync in
+// the directory goes through fsync, which counts it in syncs.
+type casTable struct {
+	mu   sync.Mutex // guards refs; held across a chunk write
+	refs map[string]int
+
+	syncMu  sync.Mutex // guards renames and synced
+	renames uint64
+	synced  uint64
+
+	syncs atomic.Int64
 }
 
-func (s *FS) readRef(key string) (int64, bool, error) {
-	b, err := os.ReadFile(s.refPath(key))
-	if errors.Is(err, fs.ErrNotExist) {
-		return 0, false, nil
-	}
+const pinned = -1
+
+// casTables holds one table per cleaned absolute store directory, so
+// every FS over a directory in this process shares its counts.
+var (
+	casTablesMu sync.Mutex
+	casTables   = map[string]*casTable{}
+)
+
+func casTableFor(dir string) (*casTable, error) {
+	abs, err := filepath.Abs(dir)
 	if err != nil {
-		return 0, false, fmt.Errorf("ckpt: chunk ref: %w", err)
+		return nil, fmt.Errorf("ckpt: store dir: %w", err)
 	}
-	var n int64
-	if _, err := fmt.Sscanf(string(b), "%d", &n); err != nil || n < 1 {
-		return 0, false, fmt.Errorf("ckpt: chunk ref %s is corrupt", s.refPath(key))
+	casTablesMu.Lock()
+	defer casTablesMu.Unlock()
+	t := casTables[abs]
+	if t == nil {
+		t = &casTable{refs: map[string]int{}}
+		casTables[abs] = t
 	}
-	return n, true, nil
+	return t, nil
 }
 
-func (s *FS) writeRef(key string, n int64) error {
-	return s.writeAtomic(s.refPath(key), func(w io.Writer) error {
-		_, err := fmt.Fprintf(w, "%d\n", n)
-		return err
-	})
+// syncDir syncs dir — always when force is set, otherwise only if a chunk
+// rename is not yet covered by a completed directory sync.
+func (t *casTable) syncDir(dir string, force bool) error {
+	t.syncMu.Lock()
+	start, synced := t.renames, t.synced
+	t.syncMu.Unlock()
+	if !force && start == synced {
+		return nil
+	}
+	if runtime.GOOS != "windows" {
+		// Directory handles cannot be fsynced on Windows; the rename
+		// itself is the best durability available there.
+		d, err := os.Open(dir)
+		if err != nil {
+			return err
+		}
+		err = t.fsync(d)
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+	}
+	t.syncMu.Lock()
+	t.synced = max(t.synced, start)
+	t.syncMu.Unlock()
+	return nil
 }
 
-// PutChunk stores one content-addressed chunk, or bumps its reference
-// count if the content is already present. The payload file is written
-// before the reference sidecar; a crash in between leaves a chunk that a
-// later put of the same content simply rewrites (content-addressed writes
-// are idempotent), never a reference without data.
+func (t *casTable) fsync(f *os.File) error {
+	t.syncs.Add(1)
+	return f.Sync()
+}
+
+// PutChunk takes one reference to a content-addressed chunk. A chunk the
+// table knows costs no syscall; one already on disk but unknown to the
+// table is pinned; a new one is written to a synced temp file and renamed
+// into place, leaving the directory sync to the next artifact commit
+// (see writeAtomic).
 func (s *FS) PutChunk(key string, payload []byte) (bool, error) {
-	s.casMu.Lock()
-	defer s.casMu.Unlock()
-	refs, exists, err := s.readRef(key)
-	if err != nil {
-		return false, err
+	t := s.cas
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if n, ok := t.refs[key]; ok {
+		if n != pinned {
+			t.refs[key] = n + 1
+		}
+		return true, nil
 	}
-	if exists {
-		return true, s.writeRef(key, refs+1)
+	path := s.chunkPath(key)
+	if _, err := os.Stat(path); err == nil {
+		t.refs[key] = pinned
+		return true, nil
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return false, fmt.Errorf("ckpt: chunk stat: %w", err)
 	}
-	err = s.writeAtomic(s.chunkPath(key), func(w io.Writer) error {
+	err := s.commit(path, func(w io.Writer) error {
 		_, werr := w.Write(payload)
 		return werr
-	})
+	}, true)
 	if err != nil {
 		return false, err
 	}
-	return false, s.writeRef(key, 1)
+	t.syncMu.Lock()
+	t.renames++
+	t.syncMu.Unlock()
+	t.refs[key] = 1
+	return false, nil
 }
 
 // GetChunk reads one chunk payload.
@@ -559,27 +635,25 @@ func (s *FS) GetChunk(key string) ([]byte, bool, error) {
 	return b, true, nil
 }
 
-// ReleaseChunks drops one reference from each chunk, deleting payload and
-// sidecar when the count reaches zero. Unknown keys are skipped.
+// ReleaseChunks drops one reference from each chunk and unlinks a chunk
+// whose last reference goes. Pinned chunks and keys the table does not
+// know are skipped. No sync is needed: a lost unlink only leaks a chunk.
 func (s *FS) ReleaseChunks(keys []string) error {
-	s.casMu.Lock()
-	defer s.casMu.Unlock()
+	t := s.cas
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var first error
 	for _, key := range keys {
-		refs, exists, err := s.readRef(key)
-		if err == nil && exists && refs > 1 {
-			err = s.writeRef(key, refs-1)
-		} else if err == nil {
-			// Last reference (or a half-put chunk with no sidecar): remove
-			// both files; missing ones are already gone.
-			for _, p := range []string{s.refPath(key), s.chunkPath(key)} {
-				if rerr := os.Remove(p); rerr != nil && !errors.Is(rerr, fs.ErrNotExist) && err == nil {
-					err = fmt.Errorf("ckpt: chunk release: %w", rerr)
-				}
-			}
+		switch n := t.refs[key]; {
+		case n == pinned || n == 0:
+			continue
+		case n > 1:
+			t.refs[key] = n - 1
+			continue
 		}
-		if err != nil && first == nil {
-			first = err
+		delete(t.refs, key)
+		if err := os.Remove(s.chunkPath(key)); err != nil && !errors.Is(err, fs.ErrNotExist) && first == nil {
+			first = fmt.Errorf("ckpt: chunk release: %w", err)
 		}
 	}
 	return first

@@ -18,9 +18,12 @@ func TestFleetSetBudgetSqueezesMalleable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "job to own the full budget", func() bool {
+	// Alloc is set at launch, before the engine exists; a budget cut that
+	// lands in that window suspends the job rather than resizing it. Wait
+	// for the live engine (its Report) so the cut tests the in-place path.
+	waitFor(t, "job's engine to run on the full budget", func() bool {
 		st, _ := s.Job(id)
-		return st.State == Running && st.Alloc == 8
+		return st.State == Running && st.Alloc == 8 && st.Report != nil
 	})
 
 	s.SetBudget(3)

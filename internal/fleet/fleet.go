@@ -663,6 +663,10 @@ func (s *Supervisor) runEngine(j *job, ctx context.Context, units int) error {
 	j.eng = eng
 	j.inst = inst
 	s.mu.Unlock()
+	// A plan made while the engine was being built skipped this job as
+	// launching; replan now that it can be resized, or a higher-priority
+	// job queued in that window waits for this one to finish.
+	s.kickSched()
 	return eng.RunContext(ctx)
 }
 

@@ -12,10 +12,12 @@ import (
 // slowApp is the test workload: the pp_test counter (accumulate i² over a
 // partitioned range, one safe point per block) with a per-cell sleep, so
 // tests can pin jobs in the Running state long enough to observe
-// scheduling decisions at any thread count.
+// scheduling decisions at any thread count. Pad is constant ballast that
+// makes the checkpointed state big enough for a dedup store to chunk.
 type slowApp struct {
 	Out    []float64
 	Blocks int
+	Pad    []float64
 
 	delay time.Duration
 	total *float64
@@ -70,20 +72,32 @@ func slowModules(mode pp.Mode) []*pp.Module {
 }
 
 // slowWorkload instantiates slowApp from spec params: cells (40), blocks
-// (10), delay_us (0).
+// (10), delay_us (0), pad (0: no ballast field).
 func slowWorkload(spec JobSpec) (*Instance, error) {
 	blocks := param(spec, "blocks", 10)
 	cells := param(spec, "cells", 40)
 	delay := time.Duration(param(spec, "delay_us", 0)) * time.Microsecond
+	pad := param(spec, "pad", 0)
+	mods := slowModules(spec.Mode)
+	if pad > 0 {
+		mods = append(mods, pp.NewModule("slow/pad").SafeData("Pad"))
+	}
 	if blocks < 1 || cells < blocks {
 		return nil, fmt.Errorf("fleet test: bad slow params blocks=%d cells=%d", blocks, cells)
 	}
 	var total float64
 	return &Instance{
 		Factory: func() pp.App {
-			return &slowApp{Out: make([]float64, cells), Blocks: blocks, delay: delay, total: &total}
+			app := &slowApp{Out: make([]float64, cells), Blocks: blocks, delay: delay, total: &total}
+			if pad > 0 {
+				app.Pad = make([]float64, pad)
+				for i := range app.Pad {
+					app.Pad[i] = float64(i)
+				}
+			}
+			return app
 		},
-		Modules: slowModules(spec.Mode),
+		Modules: mods,
 		Result:  func() string { return fmt.Sprintf("total=%.12e", total) },
 	}, nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"ppar/internal/ckpt"
 	"ppar/internal/cluster"
+	"ppar/internal/serial"
 	"ppar/pp"
 )
 
@@ -60,11 +61,62 @@ func soakArtifact(t *testing.T, lines []string) {
 //     job count alone, independent of how many churn events played (no
 //     artifact leak per relaunch).
 func TestFleetChurnSoak(t *testing.T) {
+	store := ckpt.NewMem()
+	churnSoak(t, store, nil, store.Size)
+}
+
+// TestFleetChurnSoakDedupFS plays the same churn over a dedup store on
+// disk. Every job carries the same chunkable ballast, so chunks are shared
+// across jobs and tenant namespaces while relaunches and completions
+// release them. The directory must stay bounded like the Mem store, hold
+// at most the ballast's distinct chunks, and no reference sidecars.
+func TestFleetChurnSoakDedupFS(t *testing.T) {
+	dir := t.TempDir()
+	fsStore, err := ckpt.NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pad = 2*serial.DeltaChunkElems + 100 // three chunks
+	store := ckpt.NewDedup(fsStore)
+	churnSoak(t, store, map[string]int{"pad": pad}, func() (int, int64) {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items, bytes, chunks := 0, int64(0), 0
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case strings.HasSuffix(e.Name(), ".ref"):
+				t.Errorf("reference sidecar %s in the store", e.Name())
+			case strings.HasSuffix(e.Name(), ".chunk"):
+				chunks++
+			}
+			items++
+			bytes += info.Size()
+		}
+		if chunks > 3 {
+			t.Errorf("%d chunk files for a ballast of 3 distinct chunks", chunks)
+		}
+		return items, bytes
+	})
+	if st := store.Stats(); st.DupChunks == 0 || st.Chunks == st.DupChunks {
+		t.Errorf("the soak exercised no chunk sharing: %+v", st)
+	} else {
+		t.Logf("dedup: %+v", st)
+	}
+}
+
+// churnSoak runs the churn soak against store, adding params to every
+// job spec; size reports the store's footprint once the fleet drained.
+func churnSoak(t *testing.T, store pp.Store, params map[string]int, size func() (int, int64)) {
 	factor := soakFactor(t)
 	top := cluster.Topology{Machines: 2, Cores: 4}
 	full := top.TotalCores() // 8 budget units
 
-	store := ckpt.NewMem()
 	var logMu sync.Mutex
 	suspensions := 0
 	var logLines []string
@@ -104,6 +156,9 @@ func TestFleetChurnSoak(t *testing.T) {
 				Params: map[string]int{"cells": cells / 4, "blocks": cells / 20, "delay_us": 400}},
 		}
 		for _, spec := range specs {
+			for k, v := range params {
+				spec.Params[k] = v
+			}
 			id, err := s.Submit(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -153,7 +208,7 @@ func TestFleetChurnSoak(t *testing.T) {
 	// Store growth bounded by the job count, not the churn length: each job
 	// keeps at most its newest canonical snapshot, manifest and chain head,
 	// plus the fleet journal — relaunches overwrite, never accumulate.
-	items, bytes := store.Size()
+	items, bytes := size()
 	report = append(report, fmt.Sprintf("store: %d items, %d bytes", items, bytes))
 	if maxItems := 6*len(ids) + 8; items > maxItems {
 		t.Errorf("store leaked artifacts across churn: %d items (bound %d)", items, maxItems)
